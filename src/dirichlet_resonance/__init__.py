@@ -21,7 +21,6 @@ from .arithmetic import (
 from .characters import (
     Character,
     CharacterGroup,
-    EligibleSet,
     eligible,
     orthogonality_sum,
 )
@@ -44,7 +43,6 @@ from .experiments import (
     SweepResult,
     TheoremReport,
     default_x,
-    extremal_search,
     oracle_comparison,
     run_theorem,
     run_verification,
@@ -66,7 +64,6 @@ from .lfunctions import (
 from .resonator import (
     CongruenceS1,
     LinearKernel,
-    ResonancePair,
     SigmaKernel,
     bound_l_product,
     bound_logderiv_product,
@@ -77,9 +74,6 @@ from .resonator import (
     resonator_sq,
     s1,
     s1_congruence_oracle,
-    s2_l_product,
-    s2_logderiv_product,
-    s2_prime_sum,
 )
 
 __version__ = "0.1.0"

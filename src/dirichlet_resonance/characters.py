@@ -15,7 +15,6 @@ character index range is the intended parallelism axis everywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .arithmetic import DiscreteLogTable, build_dlog
 __all__ = [
     "CharacterGroup",
     "Character",
-    "EligibleSet",
     "eligible",
     "orthogonality_sum",
 ]
@@ -151,28 +149,15 @@ class Character:
         return f"Character(q={self.group.q}, index={self.index})"
 
 
-@dataclass(frozen=True)
-class EligibleSet:
-    """Character indices whose order exceeds ell, so chi^j is non-principal
-    for every j in {1, ..., ell}."""
-
-    q: int
-    ell: int
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def eligible(group: CharacterGroup, ell: int) -> EligibleSet:
-    """Characters with ord(chi) > ell.  Empty (not an error) when ell >= q-1."""
+def eligible(group: CharacterGroup, ell: int) -> np.ndarray:
+    """Boolean mask over character indices: True where ord(chi) > ell, so
+    chi^j is non-principal for every j in {1, ..., ell}.  All False (not an
+    error) when ell >= q-1."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     order = group.order
-    members = tuple(
-        a for a in range(order) if order // math.gcd(a, order) > ell
-    )
-    return EligibleSet(group.q, ell, members)
+    ks = np.arange(order, dtype=np.int64)
+    return order // np.gcd(ks, order) > ell
 
 
 def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> complex:

@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the property battery")
     p_verify.add_argument("--quick", action="store_true",
-                          help="small-q battery (about a minute)")
+                          help="small-q battery (a few seconds)")
     return parser
 
 
@@ -147,10 +147,10 @@ def _outdir(path: str | None) -> str:
 def _cmd_run(args) -> int:
     try:
         config = exp.config_from_json(args.config)
+        report = exp.run_theorem(config)
     except exp.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    report = exp.run_theorem(config)
     out = _outdir(args.output or config.output)
     json_path = os.path.join(out, "report.json")
     csv_path = os.path.join(out, "report.csv")

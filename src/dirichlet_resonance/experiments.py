@@ -1,7 +1,9 @@
-"""Experiment pipelines: run one (theorem, q, ell, parameters) configuration,
-compute S1/S2/bound, enumerate eligible characters for the extremal one,
-verify the inequalities, and emit structured reports; sweep ascending primes
-to expose growth trends.
+"""Experiment pipelines.  ``run_theorem`` is the one path from a
+(theorem, q, ell, parameters) configuration to S1, S2, the bound, the
+extremal character over the eligible mask and the certificate; it verifies
+the inequalities and emits a structured report.  ``sweep`` runs it over
+ascending primes to expose growth trends, and ``run_verification`` runs the
+property battery.
 
 The four numbered targets and their moving parts:
 
@@ -13,8 +15,10 @@ The four numbered targets and their moving parts:
 Every run checks Re(S2)/S1 >= bound (margin >= 0) and the resonance
 certificate: the maximum of the target functional over eligible characters
 must dominate (Re S2 - excluded-character terms)/S1, because a weighted
-average cannot exceed the maximum.  A violated inequality is never silent:
-it lands in the report's ``failures`` with all operands, and the report as a
+average cannot exceed the maximum.  The functional is |prod_j L(sigma, chi^j; Y)|
+for theorems 1 and 2 and Re prod_j D_j(sigma, chi) for theorems 3 and 4.  A
+violated inequality, S1 < phi(q) or a non-finite value is never silent: it
+lands in the report's ``failures`` with all operands, and the report as a
 whole is marked failed.
 
 Identical configurations produce identical reports (bit-stable given the
@@ -23,6 +27,7 @@ fixed reduction strategy) except for the wall-time field.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import time
@@ -44,6 +49,7 @@ from .lfunctions import (
     _fsum_complex,
     exact_l,
     exact_l_all,
+    logderiv_poly_all,
     truncated_l,
     truncated_l_all,
 )
@@ -53,7 +59,6 @@ from .resonator import (
     bound_l_product,
     bound_logderiv_product,
     bound_prime_sum,
-    logderiv_poly_all,
     max_ell_for_sigma,
     power_product,
     s1,
@@ -73,8 +78,6 @@ __all__ = [
     "default_x",
     "config_from_json",
     "run_theorem",
-    "functional_values",
-    "extremal_search",
     "sweep",
     "oracle_comparison",
     "run_verification",
@@ -94,12 +97,6 @@ _TIE_TOL = 1e-9
 _SLACK = 1e-12
 
 _TARGETS = {1: "l-product", 2: "prime-sum", 3: "logderiv-product", 4: "logderiv-product"}
-_FUNCTIONALS = {
-    1: "l-product-modulus",
-    2: "l-product-modulus",
-    3: "logderiv-product-real",
-    4: "logderiv-product-real",
-}
 
 
 class ConfigError(ValueError):
@@ -113,8 +110,6 @@ class ExperimentConfig:
     ``excluded`` holds extra character indices to treat as exceptional (the
     hook for a user-designated chi_e); chi_0 and the low-order characters
     are always excluded from the extremal search by the eligibility rule.
-    ``zero_free_constant_a`` is an abstract placeholder for the zero-free
-    region constant; nothing computes with it.
     """
 
     theorem: int
@@ -125,11 +120,21 @@ class ExperimentConfig:
     sigma: float | None = None
     excluded: tuple[int, ...] = ()
     endpoint_margin: float = 0.01
-    zero_free_constant_a: float | None = None
     output: str | None = None
 
     def validated(self) -> "ExperimentConfig":
-        """Check invariants and fill derived defaults for x and y."""
+        """Check types and invariants and fill derived defaults for x and y."""
+        for name in ("theorem", "q", "ell"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("x", "y", "sigma", "endpoint_margin"):
+            value = getattr(self, name)
+            if value is not None and not (_is_real(value) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not (isinstance(self.excluded, (list, tuple)) and all(map(_is_int, self.excluded))):
+            raise ConfigError(f"excluded must be a list of integers, got {self.excluded!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a path string, got {self.output!r}")
         if self.theorem not in (1, 2, 3, 4):
             raise ConfigError(f"theorem must be 1..4, got {self.theorem}")
         if not is_prime(self.q) or self.q < 3:
@@ -152,7 +157,10 @@ class ExperimentConfig:
                 )
         x = self.x
         if x is None:
-            x = default_x(self.theorem, self.q, self.endpoint_margin, self.sigma)
+            try:
+                x = default_x(self.theorem, self.q, self.endpoint_margin, self.sigma)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         y = self.y
         if y is None:
             y = max(1000, int(math.ceil(x)))
@@ -163,7 +171,15 @@ class ExperimentConfig:
             )
         if any(not (0 <= e) for e in self.excluded):
             raise ConfigError(f"excluded indices must be >= 0, got {self.excluded}")
-        return replace(self, x=float(x), y=int(y))
+        return replace(self, x=float(x), y=int(y), excluded=tuple(self.excluded))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def default_x(theorem: int, q: int, endpoint_margin: float = 0.01,
@@ -208,7 +224,7 @@ def config_from_json(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: top-level JSON value must be an object")
     known = {
         "theorem", "q", "ell", "x", "y", "sigma", "excluded",
-        "endpoint_margin", "zero_free_constant_a", "output",
+        "endpoint_margin", "output",
     }
     unknown = sorted(set(raw) - known)
     if unknown:
@@ -216,8 +232,6 @@ def config_from_json(path: str) -> ExperimentConfig:
     for req in ("theorem", "q"):
         if req not in raw:
             raise ConfigError(f"{path}: missing required key {req!r}")
-    if "excluded" in raw:
-        raw["excluded"] = tuple(int(e) for e in raw["excluded"])
     try:
         cfg = ExperimentConfig(**raw)
     except TypeError as exc:
@@ -318,58 +332,11 @@ def _bound_for(config: ExperimentConfig, kernel) -> float:
     return bound_logderiv_product(kernel, config.ell)
 
 
-def _eligible_minus_excluded(group: CharacterGroup, ell: int,
-                             excluded: tuple[int, ...]) -> list[int]:
-    """Eligible characters whose whole power family also avoids the
-    user-designated exceptional indices."""
-    members = eligible(group, ell).members
-    if not excluded:
-        return list(members)
-    bad = {e % group.order for e in excluded}
-    order = group.order
-    return [
-        k for k in members
-        if all((k * j) % order not in bad for j in range(1, ell + 1))
-    ]
-
-
-def functional_values(group: CharacterGroup, ell: int, functional: str,
-                      sigma: float, y: int) -> np.ndarray:
-    """The theorem functional over every character index.
-
-    Tags: ``l-product-modulus`` is prod_j |L(sigma, chi^j; Y)|;
-    ``logderiv-product-real`` is Re prod_j D_j(sigma, chi);
-    ``logderiv-product-modulus`` is |prod_j D_j(sigma, chi)|.
-    """
-    if functional == "l-product-modulus":
-        base = truncated_l_all(group, sigma, y)
-        return np.abs(power_product(base, ell))
-    if functional == "logderiv-product-real":
-        base = logderiv_poly_all(group, sigma, y)
-        return power_product(base, ell).real.copy()
-    if functional == "logderiv-product-modulus":
-        base = logderiv_poly_all(group, sigma, y)
-        return np.abs(power_product(base, ell))
-    raise ValueError(f"unknown functional tag {functional!r}")
-
-
-def extremal_search(group: CharacterGroup, ell: int, functional: str,
-                    sigma: float, y: int,
-                    excluded: tuple[int, ...] = ()) -> tuple[int, float]:
-    """argmax of the tagged functional over the eligible set; ties go to the
-    smallest character index so reports stay deterministic."""
-    members = _eligible_minus_excluded(group, ell, excluded)
-    if not members:
-        raise ValueError(f"eligible set is empty for q={group.q}, ell={ell}")
-    vals = functional_values(group, ell, functional, sigma, y)
-    member_vals = vals[members]
-    best = int(np.argmax(member_vals))  # argmax returns the first maximum
-    return members[best], float(member_vals[best])
-
-
 def run_theorem(config: ExperimentConfig) -> TheoremReport:
-    """Full pipeline for one configuration.  Inequality violations are
-    reported in ``failures`` (with operands in the message), never raised."""
+    """The one evaluation path for a configuration: S1, S2, ratio, bound,
+    the extremal character and the certificate.  Inequality violations and
+    non-finite values are reported in ``failures`` (with operands in the
+    message), never raised."""
     config = config.validated()
     t0 = time.perf_counter()
     group = CharacterGroup(config.q)
@@ -388,33 +355,36 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
     bound = _bound_for(config, kernel)
     margin = ratio - bound
 
-    members = _eligible_minus_excluded(group, config.ell, config.excluded)
-    if not members:
+    # eligible characters whose whole power family also avoids the
+    # user-designated exceptional indices
+    order = group.order
+    mask = eligible(group, config.ell)
+    bad = np.zeros(order, dtype=bool)
+    bad[[e % order for e in config.excluded]] = True
+    ks = np.arange(order, dtype=np.int64)
+    for j in range(1, config.ell + 1):
+        mask &= ~bad[(ks * j) % order]
+    members = np.flatnonzero(mask)
+    if not len(members):
         raise ConfigError(f"eligible set is empty for q={config.q}, ell={config.ell}")
-    vals = functional_values(
-        group, config.ell, _FUNCTIONALS[config.theorem], sigma_eff, config.y
-    )
-    member_vals = vals[members]
-    best_pos = int(np.argmax(member_vals))
-    argmax_index = members[best_pos]
-    max_value = float(member_vals[best_pos])
-    tie_cut = max_value - _TIE_TOL * max(1.0, abs(max_value))
-    near_ties = tuple(
-        m for m, v in zip(members, member_vals) if v >= tie_cut
-    )
 
-    member_set = set(members)
-    excluded_sum = math.fsum(
-        terms.real[k] for k in range(group.order) if k not in member_set
-    )
+    if config.theorem in (1, 2):
+        prod = power_product(truncated_l_all(group, sigma_eff, config.y), config.ell)
+        vals = np.abs(prod)
+    else:
+        prod = power_product(logderiv_poly_all(group, sigma_eff, config.y), config.ell)
+        vals = prod.real
+    argmax_index = int(members[np.argmax(vals[members])])  # the first maximum
+    max_value = float(vals[argmax_index])
+    tie_cut = max_value - _TIE_TOL * max(1.0, abs(max_value))
+    near_ties = tuple(np.flatnonzero(mask & (vals >= tie_cut)).tolist())
+
+    excluded_sum = math.fsum(terms.real[~mask])
     certificate = (s2_val.real - excluded_sum) / s1_val
 
     logderiv_mod = None
     if config.theorem in (3, 4):
-        mod_vals = functional_values(
-            group, config.ell, "logderiv-product-modulus", sigma_eff, config.y
-        )
-        logderiv_mod = float(mod_vals[argmax_index])
+        logderiv_mod = float(np.abs(prod)[argmax_index])
 
     oracle_gap = None
     if config.theorem in (1, 2) and config.q <= 499:
@@ -428,6 +398,16 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
             oracle_gap = None
 
     failures = []
+    checked = {
+        "S1": s1_val, "S2": s2_val, "ratio": ratio, "bound": bound, "margin": margin,
+        "certificate": certificate, "max_value": max_value,
+    }
+    nonfinite = [f"{name}={value!r}" for name, value in checked.items()
+                 if not cmath.isfinite(value)]
+    if nonfinite:
+        failures.append(f"non-finite values: {', '.join(nonfinite)}")
+    if s1_val < order * (1.0 - 1e-12):
+        failures.append(f"S1 = {s1_val!r} fell below phi(q) = {order}")
     if margin < -_SLACK * max(1.0, abs(bound)):
         failures.append(
             f"resonance inequality violated: ratio {ratio!r} < bound {bound!r} "

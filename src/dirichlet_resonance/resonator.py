@@ -1,6 +1,6 @@
-"""Resonance kernels, resonator weights, the sums S1 and S2 for all four
-target inequalities, a congruence-sum oracle for S1, and the exact finite
-lower bounds for S2/S1.
+"""Resonance kernels, resonator weights, the sum S1, the per-character S2
+summands for all four target inequalities, a congruence-sum oracle for S1,
+and the exact finite lower bounds for S2/S1.
 
 The resonator attached to a completely multiplicative kernel r is
 
@@ -14,15 +14,16 @@ S1 = sum_chi |R(chi)|^2 collapses by orthogonality to a congruence sum
 phi(q) * sum_{m = n mod q, (n,q)=1} r(m) r(n) over smooth integers, which
 ``s1_congruence_oracle`` evaluates directly as an independent check.
 
-S2 attaches one of three target weights to |R(chi)|^2 before summing:
+``s2_terms`` attaches one of three target weights to |R(chi)|^2, per
+character:
 
     l-product:          prod_{j<=ell} L(sigma, chi^j; Y)        (sigma = 1 here)
     prime-sum:          sum_{j<=ell} sum_{p<=Y} chi(p)^j p^-sigma
     logderiv-product:   prod_{j<=ell} D_j,  D_j = sum_{n<=Y} Lambda(n) chi(n)^j n^-sigma
 
-Each S2 is accumulated as a full complex sum and only then reduced to its
-real part, with a hard assertion that the imaginary part is negligible;
-trusting conjugate symmetry silently would hide character-indexing bugs.
+The summands stay complex; ``experiments.run_theorem`` sums them, checks
+that the imaginary part is negligible (trusting conjugate symmetry silently
+would hide character-indexing bugs) and reduces to the real part.
 X is real-valued; kernel support compares primes by p <= floor(X).
 """
 
@@ -38,7 +39,6 @@ from .arithmetic import primes_up_to
 from .characters import Character, CharacterGroup
 from .lfunctions import (
     EULER_GAMMA,
-    _fsum_complex,
     logderiv_poly_all,
     prime_sum_all,
     truncated_l_all,
@@ -48,16 +48,12 @@ __all__ = [
     "LinearKernel",
     "SigmaKernel",
     "ResonanceKernel",
-    "ResonancePair",
     "CongruenceS1",
     "kernel_value",
     "resonator_sq",
     "resonator_sq_all",
     "s1",
     "s1_congruence_oracle",
-    "s2_l_product",
-    "s2_prime_sum",
-    "s2_logderiv_product",
     "s2_terms",
     "power_product",
     "power_sum",
@@ -70,9 +66,6 @@ __all__ = [
     "max_ell_for_sigma",
     "strip_ell_limit",
 ]
-
-_IM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class LinearKernel:
@@ -124,36 +117,6 @@ def _support(kernel: ResonanceKernel, exclude_q: int | None = None):
     if exclude_q is not None:
         ps = ps[ps != exclude_q]
     return ps, kernel.prime_values(ps)
-
-
-@dataclass(frozen=True)
-class ResonancePair:
-    """S1, S2, and their ratio for one (target, q, ell, parameters) run."""
-
-    s1: float
-    s2: complex
-    ratio: float  # Re(S2) / S1
-    target: str  # l-product | prime-sum | logderiv-product
-    q: int
-    ell: int
-    x: float
-    y: int
-    sigma: float
-
-
-def _make_pair(s1_val: float, s2_val: complex, target: str, group: CharacterGroup,
-               ell: int, kernel: ResonanceKernel, y: int) -> ResonancePair:
-    if s1_val < group.order * (1.0 - 1e-12):
-        raise ValueError(f"S1 = {s1_val} fell below phi(q) = {group.order}")
-    if abs(s2_val.imag) > _IM_TOL * (abs(s2_val.real) + s1_val):
-        raise ValueError(
-            f"S2 imaginary part {s2_val.imag:.3e} exceeds tolerance; "
-            "character indexing is likely broken"
-        )
-    return ResonancePair(
-        s1=s1_val, s2=s2_val, ratio=s2_val.real / s1_val, target=target,
-        q=group.q, ell=ell, x=kernel.x, y=y, sigma=kernel.sigma,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +200,7 @@ def s1_congruence_oracle(group: CharacterGroup, kernel: ResonanceKernel,
 
 
 # ---------------------------------------------------------------------------
-# S2 for the four targets
+# per-character S2 terms for the four targets
 # ---------------------------------------------------------------------------
 
 def power_product(vec: np.ndarray, ell: int) -> np.ndarray:
@@ -291,8 +254,8 @@ def s2_terms(group: CharacterGroup, target: str, ell: int,
              kernel: ResonanceKernel, y: int) -> np.ndarray:
     """Per-character S2 summands (complex), indexed by character index.
 
-    Exposed so the experiment harness can subtract excluded characters from
-    the same numbers the total used.
+    ``run_theorem`` sums these for S2 and subtracts the excluded characters'
+    terms from the same numbers for the certificate.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
@@ -315,33 +278,6 @@ def s2_terms(group: CharacterGroup, target: str, ell: int,
     else:
         raise ValueError(f"unknown S2 target {target!r}")
     return core * rsq
-
-
-def _s2(group: CharacterGroup, target: str, ell: int,
-        kernel: ResonanceKernel, y: int) -> ResonancePair:
-    terms = s2_terms(group, target, ell, kernel, y)
-    s1_val = s1(group, kernel)
-    s2_val = _fsum_complex(terms)
-    return _make_pair(s1_val, s2_val, target, group, ell, kernel, y)
-
-
-def s2_l_product(group: CharacterGroup, ell: int, kernel: LinearKernel,
-                 y: int) -> ResonancePair:
-    """S2 = sum_chi prod_{j<=ell} L(1, chi^j; Y) |R(chi)|^2 (line target)."""
-    return _s2(group, "l-product", ell, kernel, y)
-
-
-def s2_prime_sum(group: CharacterGroup, ell: int, kernel: SigmaKernel,
-                 y: int) -> ResonancePair:
-    """S2 = sum_chi Re(sum_{j<=ell} sum_{p<=Y} chi(p)^j p^-sigma) |R(chi)|^2."""
-    return _s2(group, "prime-sum", ell, kernel, y)
-
-
-def s2_logderiv_product(group: CharacterGroup, ell: int,
-                        kernel: ResonanceKernel, y: int) -> ResonancePair:
-    """S2 = sum_chi Re(prod_{j<=ell} D_j(chi)) |R(chi)|^2, where D_j is the
-    -L'/L polynomial at the kernel's sigma (1 for the linear kernel)."""
-    return _s2(group, "logderiv-product", ell, kernel, y)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,35 @@ class TestRunCommand:
         assert "1 <= ell < 1/(2 - 2 sigma)" in err
 
 
+    @pytest.mark.parametrize("payload", [
+        '{"theorem": 1, "q": 7}',
+        '{"theorem": 1, "q": 101, "x": 20.0, "y": 1000, "excluded": 5}',
+        '{"theorem": 1, "q": "abc"}',
+        '{"theorem": 1, "q": 101.0}',
+        '{"theorem": 1, "q": 101, "ell": "2"}',
+        '{"theorem": 1, "q": 101, "x": NaN}',
+        '{"theorem": 1, "q": 5, "ell": 4, "x": 3, "y": 10}',
+        '{"theorem": 1, "q": 101, "x": 20.0, "zero_free_constant_a": 0.5}',
+    ], ids=["default-x-small-q", "excluded-not-list", "q-string", "q-float",
+            "ell-string", "x-nan", "empty-eligible-set", "removed-key"])
+    def test_bad_config_is_config_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "config.json"
+        path.write_text(payload)
+        code, _, err = run_cli(["run", str(path), "--output", str(tmp_path)], capsys)
+        assert code == 2
+        assert "config error" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_report_fails(self, tmp_path, capsys):
+        # X = 2000 overflows |R(chi)|^2, so S1 = inf and the ratio is NaN
+        cfg = self._write_config(
+            tmp_path, {"theorem": 1, "q": 1009, "ell": 1, "x": 2000.0, "y": 2001}
+        )
+        code, out, _ = run_cli(["run", cfg, "--output", str(tmp_path)], capsys)
+        assert code == 1
+        assert "FAIL" in out and "non-finite values: S1=inf" in out
+
+
 class TestSweepCommand:
     def test_row_count(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -4,8 +4,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dirichlet_resonance import experiments
+from dirichlet_resonance.arithmetic import primes_up_to
 from dirichlet_resonance.characters import CharacterGroup
 from dirichlet_resonance.experiments import (
     REPORT_COLUMNS,
@@ -13,7 +18,6 @@ from dirichlet_resonance.experiments import (
     ExperimentConfig,
     config_from_json,
     default_x,
-    extremal_search,
     oracle_comparison,
     run_theorem,
     run_verification,
@@ -21,11 +25,19 @@ from dirichlet_resonance.experiments import (
     write_json,
     write_reports_csv,
 )
-from dirichlet_resonance.lfunctions import EULER_GAMMA, truncated_l
+from dirichlet_resonance.lfunctions import (
+    EULER_GAMMA,
+    logderiv_poly_all,
+    truncated_l,
+    truncated_l_all,
+)
 from dirichlet_resonance.resonator import (
     LinearKernel,
+    SigmaKernel,
     bound_l_product,
+    power_product,
     resonator_sq,
+    s2_terms,
 )
 
 LOG4 = math.log(4.0)
@@ -148,7 +160,8 @@ class TestExtremalSearch:
         vals = {
             k: abs(truncated_l(group.character(k), 1.0, 3).value) for k in (1, 2, 3)
         }
-        idx, val = extremal_search(group, 1, "l-product-modulus", 1.0, 3)
+        report = run_theorem(ExperimentConfig(1, 5, 1, x=3.0, y=3))
+        idx, val = report.argmax_index, report.max_value
         assert val == pytest.approx(max(vals.values()), rel=1e-13)
         assert vals[idx] == pytest.approx(val, rel=1e-13)
         assert all(val >= v - 1e-13 for v in vals.values())
@@ -156,7 +169,7 @@ class TestExtremalSearch:
     def test_tie_breaks_to_smallest_index(self):
         # conjugate characters give identical |L|, so ties always exist
         group = CharacterGroup(11)
-        idx, _ = extremal_search(group, 1, "l-product-modulus", 1.0, 100)
+        idx = run_theorem(ExperimentConfig(1, 11, 1, x=5.0, y=100)).argmax_index
         conj = (group.order - idx) % group.order
         vals_idx, vals_conj = (
             abs(truncated_l(group.character(k), 1.0, 100).value) for k in (idx, conj)
@@ -165,23 +178,18 @@ class TestExtremalSearch:
             assert idx < conj
 
     def test_empty_eligible_raises(self):
-        group = CharacterGroup(5)
-        with pytest.raises(ValueError, match="eligible"):
-            extremal_search(group, 4, "l-product-modulus", 1.0, 100)
+        with pytest.raises(ConfigError, match="eligible"):
+            run_theorem(ExperimentConfig(1, 5, 4, x=3.0, y=100))
 
     def test_logderiv_functional_tags(self):
-        group = CharacterGroup(11)
-        i1, v1 = extremal_search(group, 2, "logderiv-product-real", 1.0, 200)
-        i2, v2 = extremal_search(group, 2, "logderiv-product-modulus", 1.0, 200)
-        assert v2 >= v1 - 1e-12  # modulus dominates the real part
+        report = run_theorem(ExperimentConfig(3, 11, 2, x=5.0, y=200))
+        # modulus dominates the real part
+        assert report.logderiv_modulus_at_argmax >= report.max_value - 1e-12
 
     def test_excluded_indices_respected(self):
-        group = CharacterGroup(11)
-        idx, _ = extremal_search(group, 1, "l-product-modulus", 1.0, 100)
-        idx2, _ = extremal_search(
-            group, 1, "l-product-modulus", 1.0, 100, excluded=(idx,)
-        )
-        assert idx2 != idx
+        idx = run_theorem(ExperimentConfig(1, 11, 1, x=5.0, y=100)).argmax_index
+        report = run_theorem(ExperimentConfig(1, 11, 1, x=5.0, y=100, excluded=(idx,)))
+        assert report.argmax_index != idx
 
 
 class TestExcludedCharacterHook:
@@ -198,6 +206,78 @@ class TestExcludedCharacterHook:
         base = run_theorem(ExperimentConfig(1, 11, 1, x=5.0, y=100))
         excl = run_theorem(ExperimentConfig(1, 11, 1, x=5.0, y=100, excluded=(1,)))
         assert excl.certificate != pytest.approx(base.certificate, rel=1e-9)
+
+
+class TestFailuresAreReported:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_values(self):
+        # X = 2000 overflows |R(chi)|^2: S1 = inf, S2 = inf + nan i, ratio = nan
+        report = run_theorem(ExperimentConfig(1, 1009, 1, x=2000.0, y=2001))
+        assert not report.passed
+        assert report.failures[0].startswith("non-finite values: S1=inf, S2=(inf+nanj)")
+
+    def test_s1_below_phi(self, monkeypatch):
+        monkeypatch.setattr(experiments, "s1", lambda group, kernel: 1.0)
+        report = run_theorem(ExperimentConfig(1, 101, 1, x=20.0, y=1000))
+        assert "S1 = 1.0 fell below phi(q) = 100" in report.failures
+
+
+@st.composite
+def _masked_configs(draw):
+    q = draw(st.sampled_from([int(p) for p in primes_up_to(400) if p >= 3]))
+    theorem = draw(st.integers(1, 4))
+    x = draw(st.floats(1.0, 30.0))
+    excluded = draw(st.lists(st.integers(0, 2 * q), max_size=4, unique=True))
+    return ExperimentConfig(
+        theorem, q, draw(st.integers(1, 4)), x=x, y=draw(st.integers(math.ceil(x), 300)),
+        sigma=0.9 if theorem in (2, 4) else None, excluded=tuple(excluded),
+    )
+
+
+class TestMaskBookkeeping:
+    """run_theorem's mask arithmetic against the per-character loop rules,
+    on the same vectors, with random excluded power families."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_masked_configs())
+    def test_matches_python_loop_rules(self, cfg):
+        group = CharacterGroup(cfg.q)
+        order, ell = group.order, cfg.ell
+        bad = {e % order for e in cfg.excluded}
+        members = [
+            k for k in range(order)
+            if order // math.gcd(k, order) > ell
+            and all((k * j) % order not in bad for j in range(1, ell + 1))
+        ]
+        if not members:
+            with pytest.raises(ConfigError, match="eligible"):
+                run_theorem(cfg)
+            return
+        report = run_theorem(cfg)
+
+        if cfg.theorem in (1, 3):
+            kernel = LinearKernel(cfg.x)
+        else:
+            kernel = SigmaKernel(cfg.x, cfg.sigma)
+        target = experiments._TARGETS[cfg.theorem]
+        terms = s2_terms(group, target, ell, kernel, cfg.y)
+        if cfg.theorem in (1, 2):
+            vals = np.abs(power_product(truncated_l_all(group, kernel.sigma, cfg.y), ell))
+        else:
+            vals = power_product(logderiv_poly_all(group, kernel.sigma, cfg.y), ell).real
+        best = members[0]
+        for k in members:
+            if vals[k] > vals[best]:
+                best = k
+        max_value = float(vals[best])
+        tie_cut = max_value - experiments._TIE_TOL * max(1.0, abs(max_value))
+        member_set = set(members)
+        excluded_sum = math.fsum(terms.real[k] for k in range(order) if k not in member_set)
+
+        assert report.argmax_index == best
+        assert report.max_value == max_value
+        assert report.near_ties == tuple(k for k in members if vals[k] >= tie_cut)
+        assert report.certificate == (report.s2.real - excluded_sum) / report.s1
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ import pytest
 
 from dirichlet_resonance.arithmetic import prime_powers_up_to, primes_up_to
 from dirichlet_resonance.characters import CharacterGroup
+from dirichlet_resonance.experiments import ExperimentConfig, run_theorem
 from dirichlet_resonance.lfunctions import truncated_l
 from dirichlet_resonance.resonator import (
     CongruenceS1,
@@ -25,9 +26,7 @@ from dirichlet_resonance.resonator import (
     resonator_sq_all,
     s1,
     s1_congruence_oracle,
-    s2_l_product,
-    s2_logderiv_product,
-    s2_prime_sum,
+    s2_terms,
 )
 
 S1_CLOSED_FORM = 4.0 * (81.0 / 80.0) ** 2 * (820.0 / 729.0)
@@ -141,49 +140,48 @@ class TestS1:
 class TestS2LProduct:
     def test_hand_sum_q5(self, g5):
         kernel = LinearKernel(3.0)
-        pair = s2_l_product(g5, 1, kernel, 3)
+        report = run_theorem(ExperimentConfig(1, 5, 1, x=3.0, y=3))
         expect = math.fsum(
             (truncated_l(g5.character(k), 1.0, 3).value
              * resonator_sq(g5.character(k), kernel)).real
             for k in range(4)
         )
-        assert pair.s2.real == pytest.approx(expect, rel=1e-13)
-        assert pair.s1 == pytest.approx(4.6125, abs=1e-13)
-        assert pair.ratio == pytest.approx(pair.s2.real / pair.s1, rel=1e-15)
+        assert report.s2.real == pytest.approx(expect, rel=1e-13)
+        assert report.s1 == pytest.approx(4.6125, abs=1e-13)
+        assert report.ratio == pytest.approx(report.s2.real / report.s1, rel=1e-15)
 
     def test_resonator_off_is_plain_average(self, g7):
-        pair = s2_l_product(g7, 2, LinearKernel(1.0), 50)
+        report = run_theorem(ExperimentConfig(1, 7, 2, x=1.0, y=50))
         expect = math.fsum(
             (truncated_l(g7.character(k), 1.0, 50).value
              * truncated_l(g7.character((2 * k) % 6), 1.0, 50).value).real
             for k in range(6)
         )
-        assert pair.s1 == 6.0
-        assert pair.s2.real == pytest.approx(expect, rel=1e-12)
+        assert report.s1 == 6.0
+        assert report.s2.real == pytest.approx(expect, rel=1e-12)
 
     def test_imaginary_part_negligible(self):
-        group = CharacterGroup(101)
-        pair = s2_l_product(group, 3, LinearKernel(20.0), 1000)
-        assert abs(pair.s2.imag) <= 1e-9 * (abs(pair.s2.real) + pair.s1)
+        report = run_theorem(ExperimentConfig(1, 101, 3, x=20.0, y=1000))
+        assert abs(report.s2.imag) <= 1e-9 * (abs(report.s2.real) + report.s1)
 
     def test_y_below_x_rejected(self, g5):
         with pytest.raises(ValueError, match="X <= Y"):
-            s2_l_product(g5, 1, LinearKernel(10.0), 5)
+            s2_terms(g5, "l-product", 1, LinearKernel(10.0), 5)
 
 
 class TestS2PrimeSum:
     def test_orthogonality_collapse(self, g7):
         # X < 2 turns the resonator off; S2 = phi(q) sum_{p = 1 mod q} p^-sigma
         sigma, y = 0.75, 2000
-        pair = s2_prime_sum(g7, 1, SigmaKernel(1.0, sigma), y)
+        report = run_theorem(ExperimentConfig(2, 7, 1, x=1.0, y=y, sigma=sigma))
         ps = primes_up_to(y)
         expect = 6.0 * math.fsum(float(p) ** -sigma for p in ps if p % 7 == 1)
-        assert pair.s2.real == pytest.approx(expect, abs=1e-10)
+        assert report.s2.real == pytest.approx(expect, abs=1e-10)
 
     def test_term_by_term_recomputation(self, g5):
         sigma, ell, y = 0.75, 2, 100
         kernel = SigmaKernel(3.0, sigma)
-        pair = s2_prime_sum(g5, ell, kernel, y)
+        report = run_theorem(ExperimentConfig(2, 5, ell, x=3.0, y=y, sigma=sigma))
         ps = primes_up_to(y)
         total = 0.0
         for k in range(4):
@@ -193,22 +191,22 @@ class TestS2PrimeSum:
                 pw = chi.power(j)
                 inner += sum(complex(pw(int(p))) * float(p) ** -sigma for p in ps)
             total += inner.real * resonator_sq(chi, kernel)
-        assert pair.s2.real == pytest.approx(total, rel=1e-12)
+        assert report.s2.real == pytest.approx(total, rel=1e-12)
 
 
 class TestS2LogderivProduct:
     def test_orthogonality_collapse(self, g5):
-        pair = s2_logderiv_product(g5, 1, LinearKernel(1.0), 10**4)
+        report = run_theorem(ExperimentConfig(3, 5, 1, x=1.0, y=10**4))
         ns, logps = prime_powers_up_to(10**4)
         expect = 4.0 * math.fsum(
             lp / float(n) for n, lp in zip(ns, logps) if n % 5 == 1
         )
-        assert pair.s2.real == pytest.approx(expect, abs=1e-10)
+        assert report.s2.real == pytest.approx(expect, abs=1e-10)
 
     def test_multinomial_recomputation_q7(self, g7):
         ell, y = 2, 50
         kernel = LinearKernel(5.0)
-        pair = s2_logderiv_product(g7, ell, kernel, y)
+        report = run_theorem(ExperimentConfig(3, 7, ell, x=5.0, y=y))
         ns, logps = prime_powers_up_to(y)
         w = logps / ns.astype(float)
         total = 0.0
@@ -217,11 +215,11 @@ class TestS2LogderivProduct:
             d1 = sum(complex(chi(int(n))) * wi for n, wi in zip(ns, w))
             d2 = sum(complex(chi.power(2)(int(n))) * wi for n, wi in zip(ns, w))
             total += (d1 * d2).real * resonator_sq(chi, kernel)
-        assert pair.s2.real == pytest.approx(total, rel=1e-12)
+        assert report.s2.real == pytest.approx(total, rel=1e-12)
 
     def test_strip_ell_constraint(self, g5):
         with pytest.raises(ValueError, match="2 - 2 sigma"):
-            s2_logderiv_product(g5, 2, SigmaKernel(3.0, 0.75), 100)
+            s2_terms(g5, "logderiv-product", 2, SigmaKernel(3.0, 0.75), 100)
 
     def test_max_ell_for_sigma(self):
         assert max_ell_for_sigma(0.9) == 4  # 1/(2 - 1.8) = 5, strict
@@ -231,7 +229,7 @@ class TestS2LogderivProduct:
     def test_sigma_ell_one_reduces_to_single_weight(self):
         group = CharacterGroup(11)
         kernel = SigmaKernel(5.0, 0.9)
-        pair = s2_logderiv_product(group, 1, kernel, 100)
+        report = run_theorem(ExperimentConfig(4, 11, 1, x=5.0, y=100, sigma=0.9))
         ns, logps = prime_powers_up_to(100)
         w = logps / ns.astype(float) ** 0.9
         total = 0.0
@@ -239,7 +237,7 @@ class TestS2LogderivProduct:
             chi = group.character(k)
             d1 = sum(complex(chi(int(n))) * wi for n, wi in zip(ns, w))
             total += d1.real * resonator_sq(chi, kernel)
-        assert pair.s2.real == pytest.approx(total, rel=1e-12)
+        assert report.s2.real == pytest.approx(total, rel=1e-12)
 
 
 class TestBounds:
@@ -320,34 +318,30 @@ class TestResonanceInequalitySmoke:
     per target with the exact finite bound."""
 
     def test_line_l(self):
-        group = CharacterGroup(101)
         kernel = LinearKernel(20.0)
         for ell in (1, 2):
-            pair = s2_l_product(group, ell, kernel, 1000)
-            assert pair.ratio >= bound_l_product(kernel, ell) * (1 - 1e-12)
+            report = run_theorem(ExperimentConfig(1, 101, ell, x=20.0, y=1000))
+            assert report.ratio >= bound_l_product(kernel, ell) * (1 - 1e-12)
 
     def test_strip_l(self):
-        group = CharacterGroup(101)
         kernel = SigmaKernel(20.0, 0.75)
-        pair = s2_prime_sum(group, 2, kernel, 1000)
-        assert pair.ratio >= bound_prime_sum(kernel, 2) * (1 - 1e-12)
+        report = run_theorem(ExperimentConfig(2, 101, 2, x=20.0, y=1000, sigma=0.75))
+        assert report.ratio >= bound_prime_sum(kernel, 2) * (1 - 1e-12)
 
     def test_line_and_strip_logderiv(self):
-        group = CharacterGroup(101)
         lin = LinearKernel(20.0)
-        pair = s2_logderiv_product(group, 2, lin, 1000)
-        assert pair.ratio >= bound_logderiv_product(lin, 2) * (1 - 1e-12)
+        report = run_theorem(ExperimentConfig(3, 101, 2, x=20.0, y=1000))
+        assert report.ratio >= bound_logderiv_product(lin, 2) * (1 - 1e-12)
         sig = SigmaKernel(20.0, 0.9)
-        pair = s2_logderiv_product(group, 2, sig, 1000)
-        assert pair.ratio >= bound_logderiv_product(sig, 2) * (1 - 1e-12)
+        report = run_theorem(ExperimentConfig(4, 101, 2, x=20.0, y=1000, sigma=0.9))
+        assert report.ratio >= bound_logderiv_product(sig, 2) * (1 - 1e-12)
 
 
 class TestDeterminism:
     def test_bit_stable_repeat(self):
-        group = CharacterGroup(31)
-        kernel = LinearKernel(10.0)
-        a = s2_l_product(group, 2, kernel, 200)
-        b = s2_l_product(group, 2, kernel, 200)
+        cfg = ExperimentConfig(1, 31, 2, x=10.0, y=200)
+        a = run_theorem(cfg)
+        b = run_theorem(cfg)
         assert a.s1 == b.s1 and a.s2 == b.s2 and a.ratio == b.ratio
 
     def test_power_product_indexing(self):
