@@ -233,10 +233,13 @@ def harmonic(j: int) -> float:
 
 
 def _tail_cutoff(tolerance: float) -> int:
-    # Tail beyond P is bounded by sum_{n>P} log n/(n(n-1)) <= (log P + 1)/(P - 1)
-    # via integral comparison; pick P so that bound < tolerance/2.
+    # Partial summation with theta(x) < 1.01624 x (Rosser-Schoenfeld 1962,
+    # Thm 9) bounds the tail beyond P by
+    #   sum_{p>P} log p/(p(p-1)) <= 1.01624 (1/(P-1) - log(1 - 1/P))
+    #                            <= 2 * 1.01624 (P+1)/P^2      (P >= 4);
+    # pick P so that bound < tolerance/2.
     limit = 1024
-    while (math.log(limit) + 1.0) / (limit - 1.0) > tolerance / 2.0:
+    while 2.0 * 1.01624 * (limit + 1.0) / limit**2 > tolerance / 2.0:
         limit *= 2
     return limit
 
@@ -245,7 +248,7 @@ def _tail_cutoff(tolerance: float) -> int:
 def prime_power_tail_constant(tolerance: float = 1e-6, sieve_limit: int | None = None) -> float:
     """sum_p log p / (p (p-1)), the prime-power part of sum Lambda(n)/n.
 
-    The sieve limit is chosen so the explicit integral tail bound stays below
+    The sieve limit is chosen so the explicit prime tail bound stays below
     tolerance/2; pass ``sieve_limit`` to override (used by stability tests).
     """
     if tolerance <= 0:

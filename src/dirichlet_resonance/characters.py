@@ -27,10 +27,6 @@ __all__ = [
     "orthogonality_sum",
 ]
 
-# Index-matrix chunks are capped so order * chunk stays modest in memory.
-_MATRIX_CELL_BUDGET = 4_000_000
-
-
 class CharacterGroup:
     """All q-1 Dirichlet characters mod the odd prime q."""
 
@@ -95,10 +91,6 @@ class CharacterGroup:
         idx = (np.arange(self.order, dtype=np.int64)[:, None] * d[None, :]) % self.order
         out[:, nz] = self.root_table[idx]
         return out
-
-    def matrix_chunk(self) -> int:
-        """Column budget for chunked whole-group evaluation."""
-        return max(1, _MATRIX_CELL_BUDGET // self.order)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CharacterGroup(q={self.q}, g={self.dlog.g})"

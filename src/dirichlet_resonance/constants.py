@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .arithmetic import harmonic, prime_power_tail_constant
 from .lfunctions import EULER_GAMMA
 
@@ -137,21 +135,18 @@ def joint_logderiv_strip_constant(sigma: float, ell: int) -> float:
 
 
 def resonator_mass_integral(sigma: float, tolerance: float = 1e-10) -> float:
-    """c(sigma) = integral_0^1 dt / (2 t^-sigma - 1), by adaptive quadrature.
+    """c(sigma) = integral_0^1 dt / (2 t^-sigma - 1), as an exact series.
 
-    The integrand t^sigma / (2 - t^sigma) is bounded in (0, 1) on the whole
-    interval, with a derivative blow-up (no singularity) at t = 0.
+    The integrand is t^sigma / (2 - t^sigma) = sum_{k>=1} (t^sigma / 2)^k,
+    and integrating term by term gives c(sigma) = sum_{k>=1} 2^-k / (k sigma + 1).
+    The terms past K total less than 2^-K, so the sum stops at the first K
+    with 2^-K <= tolerance.
     """
     _check_strip_sigma(sigma)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    value, err = quad(
-        lambda t: 1.0 / (2.0 * t ** (-sigma) - 1.0), 0.0, 1.0,
-        epsabs=tolerance, epsrel=tolerance, limit=200,
-    )
-    if err > 10 * tolerance:
-        raise ValueError(f"quadrature error estimate {err:g} misses tolerance {tolerance:g}")
-    return value
+    n_terms = max(1, math.ceil(-math.log2(tolerance)))
+    return math.fsum(2.0**-k / (k * sigma + 1.0) for k in range(1, n_terms + 1))
 
 
 # ---------------------------------------------------------------------------

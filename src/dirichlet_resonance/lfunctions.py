@@ -8,8 +8,13 @@ Truncated products are evaluated in log space,
 
 with each complex log on the principal branch; every factor satisfies
 |chi(p) p^-sigma| < 1, so no branch ambiguity can arise.  Scalar paths sum
-with math.fsum; the whole-group vector paths use numpy pairwise reduction in
-fixed-size chunks, so both are deterministic.
+with math.fsum.  The whole-group vector paths evaluate every character at
+once as one real DFT over the discrete-log axis: the weights are bucketed by
+dlog(n) mod q-1 and transformed, so a sum over N terms costs
+O(N + q log q).  For L(sigma, chi; Y) each log factor is expanded as
+sum_m chi(p)^m p^(-m sigma)/m and cut where its geometric tail falls below
+2^-53 |chi(p) p^-sigma|, so the dropped tails total at most
+2^-53 sum_p p^-sigma.  Both paths are deterministic.
 
 The oracles are classical finite sums over residue classes:
 
@@ -55,6 +60,8 @@ __all__ = [
 
 EULER_GAMMA = float(np.euler_gamma)
 
+_U = 2.0**-53  # unit roundoff of IEEE double
+
 
 class NearZeroLValue(ValueError):
     """The oracle L-value is too close to zero to divide by safely."""
@@ -80,6 +87,13 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must lie in (1/2, 1], got {sigma}")
 
 
+def _check_cutoff(y: int) -> None:
+    if y < 1:
+        raise ValueError(f"truncation cutoff must be >= 1, got {y}")
+    if y > 10**8:
+        raise PrecisionError(f"cutoff {y} exceeds the double-precision budget (1e8)")
+
+
 def _fsum_complex(arr: np.ndarray) -> complex:
     return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
 
@@ -91,10 +105,7 @@ def _fsum_complex(arr: np.ndarray) -> complex:
 def truncated_l(chi: Character, sigma: float, y: int) -> LValue:
     """Truncated Euler product prod_{p <= y, p != q} (1 - chi(p) p^-sigma)^-1."""
     _check_sigma(sigma)
-    if y < 1:
-        raise ValueError(f"truncation cutoff must be >= 1, got {y}")
-    if y > 10**8:
-        raise PrecisionError(f"cutoff {y} exceeds the double-precision budget (1e8)")
+    _check_cutoff(y)
     ps = primes_up_to(y)
     ps = ps[ps != chi.group.q]
     if len(ps) == 0:
@@ -111,8 +122,7 @@ def logderiv_poly(chi: Character, sigma: float, y: int) -> LValue:
     This is the finite approximation to -L'/L(sigma, chi).
     """
     _check_sigma(sigma)
-    if y < 1:
-        raise ValueError(f"truncation cutoff must be >= 1, got {y}")
+    _check_cutoff(y)
     ns, logps = prime_powers_up_to(y)
     if len(ns) == 0:
         return LValue(0j, "dirichlet-poly", sigma, y)
@@ -146,66 +156,64 @@ def joint_logderiv_product(chi: Character, ell: int, sigma: float, y: int) -> co
 # whole-group vector evaluators (index k runs over the full dual group)
 # ---------------------------------------------------------------------------
 
-def _group_log_product(group: CharacterGroup, ns: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """acc[k] = sum_i -log(1 - chi_k(ns[i]) * w[i]), chunked over i."""
-    order = group.order
-    acc = np.zeros(order, dtype=np.complex128)
-    chunk = group.matrix_chunk()
-    ks = np.arange(order, dtype=np.int64)[:, None]
-    d = group.dlog.dlog[ns % group.q]
-    for lo in range(0, len(ns), chunk):
-        idx = (ks * d[None, lo : lo + chunk]) % order
-        acc += np.sum(-np.log(1.0 - group.root_table[idx] * w[lo : lo + chunk]), axis=1)
-    return acc
+def _dlog_transform(group: CharacterGroup, exponents: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """vec[k] = sum_i weights[i] e^{2 pi i k exponents[i] / order}, all k.
 
-
-def _group_linear_sum(group: CharacterGroup, ns: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """acc[k] = sum_i chi_k(ns[i]) * w[i], chunked over i."""
+    Since chi_k(n) = e^{2 pi i k dlog(n) / order}, a whole-group character sum
+    is one length-order DFT of the real weights bucketed by exponent (the
+    discrete-log reindexing of Rader, 1968).  The upper half is mirrored from
+    the lower one, so vec[-k] == conj(vec[k]) holds exactly.
+    """
     order = group.order
-    acc = np.zeros(order, dtype=np.complex128)
-    chunk = group.matrix_chunk()
-    ks = np.arange(order, dtype=np.int64)[:, None]
-    d = group.dlog.dlog[ns % group.q]
-    for lo in range(0, len(ns), chunk):
-        idx = (ks * d[None, lo : lo + chunk]) % order
-        acc += group.root_table[idx] @ w[lo : lo + chunk]
-    return acc
+    half = np.conj(np.fft.rfft(np.bincount(exponents, weights, minlength=order)))
+    vec = np.empty(order, dtype=np.complex128)
+    vec[: len(half)] = half
+    vec[len(half) :] = np.conj(half[1 : order - len(half) + 1][::-1])
+    return vec
 
 
 def truncated_l_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
-    """L(sigma, chi_k; y) for every character index k at once."""
+    """L(sigma, chi_k; y) for every character index k at once.
+
+    log L is the sum over primes of -log(1 - z) = sum_m z^m / m with
+    z = chi(p) p^-sigma, so term m of prime p lands on exponent
+    m dlog(p) with weight p^(-m sigma) / m.  Each prime's series stops at
+    M = ceil(log(u (1 - |z|)) / log |z|) (u = 2^-53), where the tail
+    |z|^(M+1) / ((M+1)(1 - |z|)) is below u |z|, so the dropped tails total
+    at most u sum_p p^-sigma.
+    """
     _check_sigma(sigma)
-    if y > 10**8:
-        raise PrecisionError(f"cutoff {y} exceeds the double-precision budget (1e8)")
+    _check_cutoff(y)
     ps = primes_up_to(y)
     ps = ps[ps != group.q]
-    if len(ps) == 0:
-        return np.ones(group.order, dtype=np.complex128)
-    w = ps.astype(np.float64) ** (-sigma)
-    return np.exp(_group_log_product(group, ps, w))
+    a = ps.astype(np.float64) ** (-sigma)
+    counts = np.ceil(np.log(_U * (1.0 - a)) / np.log(a)).astype(np.int64)
+    which = np.repeat(np.arange(len(ps)), counts)
+    m = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    exponents = (m * group.dlog.dlog[ps % group.q][which]) % group.order
+    return np.exp(_dlog_transform(group, exponents, a[which] ** m / m))
 
 
 def prime_sum_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
     """sum_{p <= y, p != q} chi_k(p) p^-sigma for every character index k."""
     _check_sigma(sigma)
+    _check_cutoff(y)
     ps = primes_up_to(y)
     ps = ps[ps != group.q]
-    if len(ps) == 0:
-        return np.zeros(group.order, dtype=np.complex128)
     w = ps.astype(np.float64) ** (-sigma)
-    return _group_linear_sum(group, ps, w)
+    return _dlog_transform(group, group.dlog.dlog[ps % group.q], w)
 
 
 def logderiv_poly_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
     """The -L'/L polynomial sum_{n <= y} Lambda(n) chi_k(n) n^-sigma, all k."""
     _check_sigma(sigma)
+    _check_cutoff(y)
     ns, logps = prime_powers_up_to(y)
     keep = ns % group.q != 0  # chi(n) = 0 there anyway
     ns, logps = ns[keep], logps[keep]
-    if len(ns) == 0:
-        return np.zeros(group.order, dtype=np.complex128)
     w = logps * ns.astype(np.float64) ** (-sigma)
-    return _group_linear_sum(group, ns, w)
+    return _dlog_transform(group, group.dlog.dlog[ns % group.q], w)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,11 @@ class TestPrimePowerTailConstant:
         )
         assert coeff == pytest.approx(-0.659, abs=1e-3)
 
+    def test_default_cutoff_within_tolerance_of_a_deeper_sieve(self):
+        # the Rosser-Schoenfeld tail bound stops the sieve at 2^22 for 1e-6
+        deep = prime_power_tail_constant(1e-6, sieve_limit=1 << 24)
+        assert abs(prime_power_tail_constant(1e-6) - deep) <= 1e-6
+
     def test_stable_under_sieve_doubling(self):
         tol = 1e-4
         base_limit = 1 << 19

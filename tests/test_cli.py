@@ -158,6 +158,12 @@ class TestOracleCommand:
         assert rows[0] == ["index", "rel_err_Y100", "rel_err_Y1000"]
         assert len(rows) == 6  # header + phi(7) - 1 characters
 
+    @pytest.mark.parametrize("y", ["0", "100000001"])
+    def test_cutoff_out_of_range_is_an_error(self, y, capsys):
+        code, _, err = run_cli(["oracle", "--q", "5", "--Y", "100", y], capsys)
+        assert code == 2
+        assert "oracle error: " in err and "cutoff" in err
+
 
 class TestVerifyCommand:
     def test_quick_battery(self, capsys):

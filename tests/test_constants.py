@@ -1,6 +1,10 @@
 """Closed-form constants, admissibility ranges, and the Beta/Gamma identities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,26 @@ class TestResonatorMassIntegral:
     def test_domain(self):
         with pytest.raises(ValueError):
             resonator_mass_integral(1.0)
+
+    def test_series_matches_adaptive_quadrature(self):
+        quad = pytest.importorskip("scipy.integrate").quad
+        for sigma in (0.55, 0.6, 0.75, 0.9, 0.95):
+            want, _ = quad(lambda t: 1.0 / (2.0 * t ** (-sigma) - 1.0), 0.0, 1.0,
+                           epsabs=1e-14, epsrel=1e-14, limit=200)
+            assert abs(resonator_mass_integral(sigma, 1e-17) - want) <= 1e-15
+            assert abs(resonator_mass_integral(sigma) - want) <= 1e-10
+
+
+def test_package_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, dirichlet_resonance; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestStripLAdmissibility:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dirichlet_resonance.arithmetic import PrecisionError, prime_powers_up_to
+from dirichlet_resonance import lfunctions
+from dirichlet_resonance.arithmetic import PrecisionError, prime_powers_up_to, primes_up_to
 from dirichlet_resonance.characters import CharacterGroup
 from dirichlet_resonance.lfunctions import (
     EULER_GAMMA,
@@ -169,6 +172,114 @@ class TestVectorizedAgainstScalar:
         chi = group.character(1)
         scalar = sum(complex(chi(int(p))) * float(p) ** (-sigma) for p in ps)
         assert avec[1] == pytest.approx(scalar, abs=1e-12)
+
+
+_U = 2.0**-53
+_ODD_PRIMES = [int(p) for p in primes_up_to(2000)[1:]]
+
+
+def _gather_bound(order, tail, scale, n_ref, n_bucket):
+    """Stated bound on |fast - gather| for one character sum, in the units of
+    ``scale`` (an upper bound on the sum of |term| on either side).
+
+    tail       the series terms the transform drops (truncated_l_all only);
+    n_bucket   np.bincount adds at most n_bucket terms per bucket in order:
+               (n_bucket - 1) u scale (Higham, 2nd ed., section 4.2);
+    log2 order the DFT: each output is a unit-modulus combination of the
+               buckets through at most ceil(log2 order) butterfly levels of
+               relative error 8u each (Higham, section 24.1: mu + gamma_4
+               (sqrt 2 + mu) < 8u for twiddles accurate to u);
+    n_ref      the reference gather sums n_ref terms in any order: (n_ref - 1) u scale;
+    6          rounding of each term's weight and root-of-unity product.
+    """
+    levels = math.ceil(math.log2(order)) if order > 1 else 0
+    return _U * (tail + (n_bucket + n_ref + 8 * levels + 6) * scale)
+
+
+class TestDlogTransform:
+    """The three DFT-based vectors against the direct values_matrix gather."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.sampled_from(_ODD_PRIMES),
+        sigma=st.floats(0.5, 1.0, exclude_min=True),
+        y=st.integers(1, 5000),
+    )
+    def test_matches_direct_gather(self, q, sigma, y):
+        group = CharacterGroup(q)
+        order = group.order
+        ps = primes_up_to(y)
+        ps = ps[ps != q]
+        a = ps.astype(np.float64) ** (-sigma)
+        d = group.dlog.dlog[ps % q]
+        mat = group.values_matrix(ps)
+
+        # prime sum: one term per prime, bucketed by dlog(p)
+        got = prime_sum_all(group, sigma, y)
+        want = mat @ a
+        most = int(np.bincount(d, minlength=1).max(initial=0))
+        tol = _gather_bound(order, 0.0, a.sum(), len(ps), most)
+        assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+        # -L'/L polynomial: one term per prime power prime to q
+        ns, logps = prime_powers_up_to(y)
+        keep = ns % q != 0
+        w = logps[keep] * ns[keep].astype(np.float64) ** (-sigma)
+        got = logderiv_poly_all(group, sigma, y)
+        want = group.values_matrix(ns[keep]) @ w
+        most = int(np.bincount(group.dlog.dlog[ns[keep] % q], minlength=1).max(initial=0))
+        tol = _gather_bound(order, 0.0, w.sum(), len(w), most)
+        assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+        # L(sigma, chi; y): log L against sum_p -log(1 - chi(p) p^-sigma).
+        # a/(1-a) bounds the weights of p's series, |log(1 - chi(p) a)| and
+        # its conditioning.  The transform keeps ceil(log(u (1-a)) / log a)
+        # terms per prime (+1 covers a different rounding of the logs), and no
+        # bucket holds more than all of them.
+        got = truncated_l_all(group, sigma, y)
+        log_want = np.sum(-np.log(1.0 - mat * a), axis=1)
+        want = np.exp(log_want)
+        n_terms = int(np.sum(np.ceil(np.log(_U * (1.0 - a)) / np.log(a)) + 1.0))
+        tol = _gather_bound(order, a.sum(), np.sum(a / (1.0 - a)), len(ps), n_terms)
+        rel = tol * math.exp(tol) + 4.0 * _U  # exp turns the log error relative
+        assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        q=st.sampled_from(_ODD_PRIMES),
+        sigma=st.floats(0.5, 1.0, exclude_min=True),
+        y=st.integers(1, 5000),
+    )
+    def test_conjugate_symmetry_and_repeats_are_exact(self, q, sigma, y):
+        group = CharacterGroup(q)
+        ks = np.arange(group.order)
+        for fn in (truncated_l_all, prime_sum_all, logderiv_poly_all):
+            vec = fn(group, sigma, y)
+            assert np.array_equal(vec[(-ks) % group.order], np.conj(vec))
+            assert fn(CharacterGroup(q), sigma, y).tobytes() == vec.tobytes()
+
+
+_EVALUATORS = {
+    "truncated_l": lambda g, y: truncated_l(g.character(1), 1.0, y),
+    "logderiv_poly": lambda g, y: logderiv_poly(g.character(1), 1.0, y),
+    "truncated_l_all": lambda g, y: truncated_l_all(g, 1.0, y),
+    "prime_sum_all": lambda g, y: prime_sum_all(g, 1.0, y),
+    "logderiv_poly_all": lambda g, y: logderiv_poly_all(g, 1.0, y),
+}
+
+
+class TestCutoffGuard:
+    @pytest.mark.parametrize("name", sorted(_EVALUATORS))
+    @pytest.mark.parametrize("y,error", [(0, ValueError), (10**8 + 1, PrecisionError)])
+    def test_rejected_before_any_sieve(self, g5, monkeypatch, name, y, error):
+        def no_sieve(limit):
+            raise AssertionError(f"sieved to {limit} before checking the cutoff")
+
+        monkeypatch.setattr(lfunctions, "primes_up_to", no_sieve)
+        monkeypatch.setattr(lfunctions, "prime_powers_up_to", no_sieve)
+        with pytest.raises(error) as info:
+            _EVALUATORS[name](g5, y)
+        assert (info.type is PrecisionError) == (error is PrecisionError)
 
 
 class TestHurwitzZeta:

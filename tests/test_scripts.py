@@ -1,0 +1,23 @@
+"""Smoke runs of the experiment scripts at a tiny size."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script,args,written", [
+    ("run_battery.py", ["--qs", "101", "--out", "{tmp}/battery.csv"], "battery.csv"),
+    ("trend_sweep.py", ["--primes", "100..200", "--out", "{tmp}/trend.csv"], "trend.csv"),
+    ("truncation_errors.py", ["--qs", "5", "--grid", "100", "1000", "--outdir", "{tmp}"],
+     "truncation_q5.csv"),
+])
+def test_script_runs(tmp_path, script, args, written):
+    argv = [a.format(tmp=tmp_path) for a in args]
+    done = subprocess.run([sys.executable, str(SCRIPTS / script), *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert (tmp_path / written).stat().st_size > 0
