@@ -144,12 +144,20 @@ class Character:
 def eligible(group: CharacterGroup, ell: int) -> np.ndarray:
     """Boolean mask over character indices: True where ord(chi) > ell, so
     chi^j is non-principal for every j in {1, ..., ell}.  All False (not an
-    error) when ell >= q-1."""
+    error) when ell >= q-1.
+
+    ord(chi_k) divides d exactly when k is a multiple of (q-1)/d, so the
+    characters of order <= ell are the multiples of (q-1)/d over the
+    divisors d <= ell of q-1.
+    """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     order = group.order
-    ks = np.arange(order, dtype=np.int64)
-    return order // np.gcd(ks, order) > ell
+    mask = np.ones(order, dtype=bool)
+    for d in range(1, min(ell, order) + 1):
+        if order % d == 0:
+            mask[:: order // d] = False
+    return mask
 
 
 def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> complex:

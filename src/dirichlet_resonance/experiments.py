@@ -503,8 +503,11 @@ def sweep(theorem: int, prime_range: tuple[int, int], ell: int = 1,
 
     When ``y`` is not given, each run takes Y = ceil(X), the smallest legal
     cutoff; the theorem-1 trend column then tracks the e^gamma log X scale
-    that the ratio approaches from below.
+    that the ratio approaches from below.  ``jobs`` caps the worker
+    processes; no more are started than there are primes.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     lo, hi = prime_range
     qs = _primes_in_range(lo, hi)
     if not qs:
@@ -517,8 +520,9 @@ def sweep(theorem: int, prime_range: tuple[int, int], ell: int = 1,
             theorem=theorem, q=q, ell=ell, x=x, y=yq, sigma=sigma,
             endpoint_margin=endpoint_margin,
         ).validated())
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_theorem, configs))
     else:
         reports = [run_theorem(c) for c in configs]

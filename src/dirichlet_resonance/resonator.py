@@ -9,6 +9,10 @@ The resonator attached to a completely multiplicative kernel r is
 so |R(chi)|^2 is a finite product (r(p) < 1 keeps every factor finite).  The
 factor at p = q is skipped explicitly: chi(q) = 0 would make it 1 anyway,
 and skipping keeps the principal character on the same code path.
+``resonator_sq_all`` evaluates every factor in real arithmetic as
+(1 - r)^2 + 4 r sin^2(theta/2) from one mirrored half-angle table, so no
+complex character values are formed; the scalar ``resonator_sq`` keeps the
+root-table evaluation as the reference it is tested against.
 
 S1 = sum_chi |R(chi)|^2 collapses by orthogonality to a congruence sum
 phi(q) * sum_{m = n mod q, (n,q)=1} r(m) r(n) over smooth integers, which
@@ -134,13 +138,28 @@ def resonator_sq(chi: Character, kernel: ResonanceKernel) -> float:
 
 
 def resonator_sq_all(group: CharacterGroup, kernel: ResonanceKernel) -> np.ndarray:
-    """|R(chi_k)|^2 for every character index k."""
+    """|R(chi_k)|^2 for every character index k, in real arithmetic.
+
+    With chi_k(p) = e^{i theta}, theta = 2 pi k dlog(p)/N and N = q - 1,
+    each factor is |1 - r e^{i theta}|^2 = (1 - r)^2 + 4 r sin^2(theta/2).
+    Both terms are >= 0, so nothing cancels as r -> 1.  sin^2(pi e/N) is
+    tabulated for e <= N/2 and mirrored, so sin2[N - e] == sin2[e] bitwise
+    and conjugate characters get bitwise-equal weights.
+    """
     ps, rv = _support(kernel, exclude_q=group.q)
+    order = group.order
     if len(ps) == 0:
-        return np.ones(group.order, dtype=np.float64)
-    mat = group.values_matrix(ps)
-    factors = np.abs(1.0 - rv[None, :] * mat) ** 2
-    return 1.0 / np.prod(factors, axis=1)
+        return np.ones(order, dtype=np.float64)
+    half = order // 2
+    sin2 = np.empty(order, dtype=np.float64)
+    sin2[: half + 1] = np.sin(np.pi * np.arange(half + 1) / order) ** 2
+    sin2[half + 1 :] = sin2[1 : order - half][::-1]
+    d = group.dlog.dlog[ps % group.q]
+    ks = np.arange(order, dtype=np.int64)
+    factors = sin2[(d[:, None] * ks[None, :]) % order]  # prime-major
+    factors *= (4.0 * rv)[:, None]
+    factors += ((1.0 - rv) ** 2)[:, None]
+    return 1.0 / np.prod(factors, axis=0)
 
 
 def s1(group: CharacterGroup, kernel: ResonanceKernel) -> float:

@@ -155,6 +155,15 @@ class TestEligible:
                 )
                 assert count == oracle
 
+    def test_matches_gcd_rule_exhaustively(self):
+        # ord(chi_k) = (q-1)/gcd(k, q-1) for every prime q <= 3000
+        for q in (int(p) for p in sieve_primes(3000).primes if p >= 3):
+            group = CharacterGroup(q)
+            ks = np.arange(group.order, dtype=np.int64)
+            orders = group.order // np.gcd(ks, group.order)
+            for ell in range(1, 9):
+                assert np.array_equal(eligible(group, ell), orders > ell), (q, ell)
+
     def test_members_have_large_order(self):
         group = CharacterGroup(101)
         for ell in (1, 2, 3):

@@ -135,6 +135,15 @@ class TestSweepCommand:
             main(["sweep", "--theorem", "1", "--primes", "100-200"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_an_error(self, tmp_path, capsys, jobs):
+        code, _, err = run_cli(
+            ["sweep", "--theorem", "1", "--primes", "100..120", "--jobs", jobs,
+             "--output", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2 and "jobs must be >= 1" in err
+
 
 class TestOracleCommand:
     def test_q5_has_three_character_rows(self, capsys):

@@ -280,6 +280,21 @@ class TestMaskBookkeeping:
         assert report.certificate == (report.s2.real - excluded_sum) / report.s1
 
 
+class TestReferenceNeverServesTheFastPath:
+    """The dense values_matrix gather is the independent reference: no
+    theorem run may call it, including the q <= 499 oracle-gap path."""
+
+    @pytest.mark.parametrize("q", [101, 1009])
+    @pytest.mark.parametrize("theorem,sigma", [(1, None), (2, 0.75), (3, None), (4, 0.75)])
+    def test_run_theorem_without_values_matrix(self, monkeypatch, q, theorem, sigma):
+        def reference_only(self, ns):
+            raise AssertionError("values_matrix called on the fast path")
+
+        monkeypatch.setattr(CharacterGroup, "values_matrix", reference_only)
+        report = run_theorem(ExperimentConfig(theorem, q, 1, x=20.0, y=2000, sigma=sigma))
+        assert report.passed, report.failures
+
+
 class TestDeterminism:
     def test_identical_config_identical_report(self):
         cfg = ExperimentConfig(3, 101, 2, x=20.0, y=1000)
@@ -321,6 +336,43 @@ class TestSweep:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             sweep(1, (200, 210), ell=1)  # no primes in (200, 210]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replaces the process pool with an in-process map that records
+        ``max_workers``; no worker process is ever started."""
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        return created
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, pools, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            sweep(1, (100, 110), ell=1, jobs=jobs)
+        assert pools == []
+
+    def test_workers_capped_by_prime_count(self, pools):
+        serial = sweep(1, (100, 110), ell=1)  # 101, 103, 107, 109
+        for jobs, workers in [(2, 2), (4, 4), (64, 4)]:
+            got = sweep(1, (100, 110), ell=1, jobs=jobs)
+            assert pools.pop() == workers and pools == []
+            assert [r.s1 for r in got.reports] == [r.s1 for r in serial.reports]
+        sweep(1, (100, 102), ell=1, jobs=8)  # one prime: serial, no pool
+        assert pools == []
 
 
 class TestOracleComparison:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_resonance.arithmetic import prime_powers_up_to, primes_up_to
 from dirichlet_resonance.characters import CharacterGroup
@@ -30,6 +32,42 @@ from dirichlet_resonance.resonator import (
 )
 
 S1_CLOSED_FORM = 4.0 * (81.0 / 80.0) ** 2 * (820.0 / 729.0)
+
+_U = 2.0**-53
+_ODD_PRIMES = [int(p) for p in primes_up_to(3000) if p >= 3]
+
+
+def _kernels(x):
+    return st.one_of(st.just(LinearKernel(x)),
+                     st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+                     .map(lambda sg: SigmaKernel(x, sg)))
+
+
+def _support(kernel, q):
+    ps = primes_up_to(math.floor(kernel.x))
+    ps = ps[ps != q]
+    return ps, kernel.prime_values(ps)
+
+
+def _rsq_rel_bound(rv):
+    """Relative bound 2u (6 kappa + 8 n + 4), kappa = sum_p (1 + r)/(1 - r),
+    on the gap between the half-angle weights and a root-table gather.
+
+    Per prime, f = |1 - r e^{i theta}|^2 >= (1 - r)^2.  Half-angle path:
+    the table angle pi e/N carries <= 3u relative error, which moves sin by
+    <= 3u (x cot x <= 1 on [0, pi/2]); sin, the square, (1 - r)^2, 4 r s
+    and the sum of two non-negative terms round once each, so f is within
+    11u.  Gather path: the angle 2 pi e/N carries <= 3u theta, which moves f
+    by <= 6u (2 r theta sin(theta) <= 2 f); the root's rounding (1.5u) and
+    r w move 1 - r w by <= 2.5u r, i.e. 2.5u r/(1 - r) relative, and the
+    subtraction adds u; the square doubles that, abs and the square add 3u,
+    so f is within 11u + 5u r/(1 - r) <= 11u + 2.5u (1 + r)/(1 - r).  The
+    n-fold product and the division add (n + 1)u per path.  First order:
+    u (2.5 kappa + 24 n + 2) <= u (12 kappa + 16 n + 8) since kappa >= n,
+    and the slack between the two covers every second-order term.
+    """
+    kappa = math.fsum(((1.0 + rv) / (1.0 - rv)).tolist())
+    return 2.0 * _U * (6.0 * kappa + 8.0 * len(rv) + 4.0)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +137,32 @@ class TestResonatorSq:
                 resonator_sq(g7.character(k), kernel), rel=1e-13
             )
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), q=st.sampled_from(_ODD_PRIMES), x=st.floats(2.0, 80.0))
+    def test_half_angle_matches_gather_and_scalar(self, data, q, x):
+        kernel = data.draw(_kernels(x))
+        group = CharacterGroup(q)
+        got = resonator_sq_all(group, kernel)
+        ps, rv = _support(kernel, q)
+        tol = _rsq_rel_bound(rv)
+        mat = group.values_matrix(ps)
+        want = 1.0 / np.prod(np.abs(1.0 - rv * mat) ** 2, axis=1)
+        assert np.all(np.abs(got - want) <= tol * want)
+        picks = {0, group.order // 2, data.draw(st.integers(0, group.order - 1))}
+        for k in picks:
+            scalar = resonator_sq(group.character(k), kernel)
+            assert abs(got[k] - scalar) <= tol * scalar
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), q=st.sampled_from(_ODD_PRIMES), x=st.floats(2.0, 80.0))
+    def test_conjugates_and_repeats_are_exact(self, data, q, x):
+        kernel = data.draw(_kernels(x))
+        group = CharacterGroup(q)
+        vec = resonator_sq_all(group, kernel)
+        ks = np.arange(group.order)
+        assert np.array_equal(vec[(-ks) % group.order], vec)
+        assert resonator_sq_all(CharacterGroup(q), kernel).tobytes() == vec.tobytes()
+
 
 class TestS1:
     def test_four_character_enumeration(self, g5):
@@ -135,6 +199,25 @@ class TestS1:
         kernel = LinearKernel(7.0)
         got = s1_congruence_oracle(group, kernel, 10**7)
         assert abs(got.value - s1(group, kernel)) <= got.tail_bound
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), q=st.sampled_from(_ODD_PRIMES[:45]), x=st.floats(2.0, 12.0))
+    def test_matches_congruence_oracle_within_tail(self, data, q, x):
+        """The oracle's capped sum never exceeds S1 and falls short of it by
+        at most its tail bound.  Slack: each S1 weight is within
+        _rsq_rel_bound of exact (the bound covers each path alone); an
+        oracle weight is a product of <= log2(cap) factors, summed into its
+        class with <= terms additions and squared, so the oracle is within
+        (2 (terms + log2 cap) + 2) u relative."""
+        kernel = data.draw(_kernels(x))
+        group = CharacterGroup(q)
+        cap = 10**8
+        got = s1(group, kernel)
+        oracle = s1_congruence_oracle(group, kernel, cap)
+        slack = (_rsq_rel_bound(_support(kernel, q)[1]) * got
+                 + (2.0 * (oracle.terms + math.log2(cap)) + 2.0) * _U * oracle.value)
+        assert oracle.value - got <= slack
+        assert got - oracle.value <= oracle.tail_bound + slack
 
 
 class TestS2LProduct:
