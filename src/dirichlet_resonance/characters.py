@@ -6,7 +6,7 @@ a in {0, ..., q-2}.  All evaluation is one integer multiplication mod q-1
 followed by a root-of-unity table lookup; no floating-point phase ever
 accumulates.  The root table is built so that entry q-1-k is the exact
 bitwise conjugate of entry k, which makes conjugate characters evaluate to
-exact conjugates.
+exact conjugates.  ``power_reduce`` indexes every power family chi^j.
 
 Groups are immutable after construction; parallel iteration over the
 character index range is the intended parallelism axis everywhere else.
@@ -14,6 +14,7 @@ character index range is the intended parallelism axis everywhere else.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "Character",
     "eligible",
     "orthogonality_sum",
+    "power_reduce",
 ]
 
 class CharacterGroup:
@@ -34,10 +36,11 @@ class CharacterGroup:
         self.dlog: DiscreteLogTable = build_dlog(q)  # validates q
         self.q = q
         self.order = q - 1
-        self.root_table = self._build_roots(self.order)
 
-    @staticmethod
-    def _build_roots(order: int) -> np.ndarray:
+    @functools.cached_property
+    def root_table(self) -> np.ndarray:
+        """Built on first use: only the scalar and reference evaluators read it."""
+        order = self.order
         roots = np.empty(order, dtype=np.complex128)
         half = order // 2
         k = np.arange(half + 1)
@@ -53,10 +56,6 @@ class CharacterGroup:
 
     def character(self, index: int) -> "Character":
         return Character(self, index % self.order)
-
-    @property
-    def principal(self) -> "Character":
-        return Character(self, 0)
 
     def characters(self):
         return (Character(self, a) for a in range(self.order))
@@ -141,23 +140,29 @@ class Character:
         return f"Character(q={self.group.q}, index={self.index})"
 
 
+def power_reduce(vec: np.ndarray, ell: int, op) -> np.ndarray:
+    """out[k] = the ``op``-reduction (np.multiply, np.add, np.logical_or) of
+    vec[(k*j) mod order] over j = 1..ell, by the rule chi_k^j = chi_{kj}."""
+    order = len(vec)
+    ks = np.arange(order, dtype=np.int64)
+    out = vec.copy()
+    for j in range(2, ell + 1):
+        op(out, vec[(ks * j) % order], out=out)
+    return out
+
+
 def eligible(group: CharacterGroup, ell: int) -> np.ndarray:
     """Boolean mask over character indices: True where ord(chi) > ell, so
     chi^j is non-principal for every j in {1, ..., ell}.  All False (not an
     error) when ell >= q-1.
 
-    ord(chi_k) divides d exactly when k is a multiple of (q-1)/d, so the
-    characters of order <= ell are the multiples of (q-1)/d over the
-    divisors d <= ell of q-1.
+    kj mod (q-1) is periodic in j with period q-1, so powers past q-1 mark
+    nothing new and the family is cut there.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    order = group.order
-    mask = np.ones(order, dtype=bool)
-    for d in range(1, min(ell, order) + 1):
-        if order % d == 0:
-            mask[:: order // d] = False
-    return mask
+    principal = np.arange(group.order) == 0
+    return ~power_reduce(principal, min(ell, group.order), np.logical_or)
 
 
 def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> complex:

@@ -64,8 +64,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONST_COLUMNS = ("C", "Q", "S", "H", "c", "kappa", "eta", "omega", "beta")
-_SIGMA_COLUMNS = {"S", "H", "c", "kappa", "eta", "omega", "beta"}
+def _range_cell(rng) -> str:
+    return "(empty)" if rng.is_empty else f"(0, {rng.upper:.8g})"
+
+
+def _poly_param_cell(sigma: float, ell: int, which: int, fmt: str) -> str:
+    try:
+        return fmt.format(con.strip_logderiv_poly_params(sigma, ell)[which])
+    except ValueError:
+        return "(empty)"
+
+
+# column -> (needs --sigma, cell text for (ell, sigma))
+_CONST_COLUMNS = {
+    "C": (False, lambda ell, sg: f"{con.joint_l_line_constant(ell):.10g}"),
+    "Q": (False, lambda ell, sg: f"{con.joint_logderiv_line_constant(ell):.10g}"),
+    "S": (True, lambda ell, sg: f"{con.joint_l_strip_constant(sg, ell):.10g}"),
+    "H": (True, lambda ell, sg: f"{con.joint_logderiv_strip_constant(sg, ell):.10g}"),
+    "c": (True, lambda ell, sg: f"{con.resonator_mass_integral(sg):.10g}"),
+    "kappa": (True, lambda ell, sg: _range_cell(con.strip_l_admissible_range(sg))),
+    "eta": (True, lambda ell, sg: _range_cell(con.strip_logderiv_admissible_range(sg))),
+    "omega": (True, lambda ell, sg: _poly_param_cell(sg, ell, 0, "{:.8g}")),
+    "beta": (True, lambda ell, sg: _poly_param_cell(sg, ell, 1, "> {:.8g}")),
+}
 
 
 def _cmd_constants(args, parser) -> int:
@@ -75,13 +96,14 @@ def _cmd_constants(args, parser) -> int:
         if not (0.5 < s < 1.0):
             parser.error(f"--sigma values must lie in (1/2, 1); got {s}")
     if args.columns is None:
-        cols = [c for c in _CONST_COLUMNS if args.sigma or c not in _SIGMA_COLUMNS]
+        cols = [c for c, (needs_sigma, _) in _CONST_COLUMNS.items()
+                if args.sigma or not needs_sigma]
     else:
         cols = [c.strip() for c in args.columns.split(",") if c.strip()]
         unknown = [c for c in cols if c not in _CONST_COLUMNS]
         if unknown:
-            parser.error(f"unknown columns {unknown}; choose from {_CONST_COLUMNS}")
-        if not args.sigma and any(c in _SIGMA_COLUMNS for c in cols):
+            parser.error(f"unknown columns {unknown}; choose from {tuple(_CONST_COLUMNS)}")
+        if not args.sigma and any(_CONST_COLUMNS[c][0] for c in cols):
             parser.error("sigma-dependent columns requested but no --sigma given")
 
     sigmas = args.sigma or [None]
@@ -89,42 +111,15 @@ def _cmd_constants(args, parser) -> int:
     for ell in args.ell:
         for sigma in sigmas:
             row = {"ell": ell, "sigma": "" if sigma is None else f"{sigma:g}"}
-            if "C" in cols:
-                row["C"] = f"{con.joint_l_line_constant(ell):.10g}"
-            if "Q" in cols:
-                row["Q"] = f"{con.joint_logderiv_line_constant(ell):.10g}"
-            if sigma is not None:
-                if "S" in cols:
-                    row["S"] = f"{con.joint_l_strip_constant(sigma, ell):.10g}"
-                if "H" in cols:
-                    row["H"] = f"{con.joint_logderiv_strip_constant(sigma, ell):.10g}"
-                if "c" in cols:
-                    row["c"] = f"{con.resonator_mass_integral(sigma):.10g}"
-                if "kappa" in cols:
-                    rng = con.strip_l_admissible_range(sigma)
-                    row["kappa"] = "(empty)" if rng.is_empty else f"(0, {rng.upper:.8g})"
-                if "eta" in cols:
-                    rng = con.strip_logderiv_admissible_range(sigma)
-                    row["eta"] = "(empty)" if rng.is_empty else f"(0, {rng.upper:.8g})"
-                if "omega" in cols or "beta" in cols:
-                    try:
-                        omega, beta_min = con.strip_logderiv_poly_params(sigma, ell)
-                        if "omega" in cols:
-                            row["omega"] = f"{omega:.8g}"
-                        if "beta" in cols:
-                            row["beta"] = f"> {beta_min:.8g}"
-                    except ValueError:
-                        if "omega" in cols:
-                            row["omega"] = "(empty)"
-                        if "beta" in cols:
-                            row["beta"] = "(empty)"
+            # without --sigma, cols holds no sigma-dependent column
+            row.update((c, _CONST_COLUMNS[c][1](ell, sigma)) for c in cols)
             rows.append(row)
 
     header = ["ell", "sigma"] + list(cols)
-    widths = {h: max(len(h), *(len(str(r.get(h, ""))) for r in rows)) for h in header}
+    widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in header}
     print("  ".join(h.ljust(widths[h]) for h in header))
     for r in rows:
-        print("  ".join(str(r.get(h, "")).ljust(widths[h]) for h in header))
+        print("  ".join(str(r[h]).ljust(widths[h]) for h in header))
 
     if args.output:
         import csv
@@ -132,8 +127,7 @@ def _cmd_constants(args, parser) -> int:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
-            for r in rows:
-                writer.writerow({h: r.get(h, "") for h in header})
+            writer.writerows(rows)
         print(f"wrote {args.output}")
     return 0
 

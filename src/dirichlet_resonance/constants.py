@@ -153,31 +153,29 @@ def resonator_mass_integral(sigma: float, tolerance: float = 1e-10) -> float:
 # admissibility inequalities for the strip targets
 # ---------------------------------------------------------------------------
 
-def strip_l_inequality_slack(kappa: float, sigma: float,
-                             tolerance: float = 1e-10) -> float:
+def strip_l_inequality_slack(kappa: float, sigma: float) -> float:
     """RHS - LHS of  2 kappa sigma + (9/4 - 3 sigma/2)/(7/4 - sigma/2)
     < 1 + kappa sigma (1 - c(sigma)); positive means satisfied strictly."""
-    c = resonator_mass_integral(sigma, tolerance)
+    c = resonator_mass_integral(sigma)
     lhs = 2.0 * kappa * sigma + (2.25 - 1.5 * sigma) / (1.75 - 0.5 * sigma)
     rhs = 1.0 + kappa * sigma * (1.0 - c)
     return rhs - lhs
 
 
-def strip_logderiv_inequality_slack(eta: float, sigma: float, eps: float,
-                                    tolerance: float = 1e-10) -> float:
+def strip_logderiv_inequality_slack(eta: float, sigma: float, eps: float) -> float:
     """RHS - LHS of  2 eta sigma + 3(1 - sigma + eps)/(2 - sigma + eps)
     < 1 + eta sigma (1 - c(sigma))."""
-    c = resonator_mass_integral(sigma, tolerance)
+    c = resonator_mass_integral(sigma)
     lhs = 2.0 * eta * sigma + 3.0 * (1.0 - sigma + eps) / (2.0 - sigma + eps)
     rhs = 1.0 + eta * sigma * (1.0 - c)
     return rhs - lhs
 
 
-def strip_l_admissible_range(sigma: float, tolerance: float = 1e-10) -> AdmissibleRange:
+def strip_l_admissible_range(sigma: float) -> AdmissibleRange:
     """kappa in (0, (1 - E)/(sigma (1 + c(sigma)))) with
     E = (9/4 - 3 sigma/2)/(7/4 - sigma/2); open at both ends."""
     _check_strip_sigma(sigma)
-    c = resonator_mass_integral(sigma, tolerance)
+    c = resonator_mass_integral(sigma)
     numer = 1.0 - (2.25 - 1.5 * sigma) / (1.75 - 0.5 * sigma)
     upper = numer / (sigma * (1.0 + c)) if numer > 0 else 0.0
     return AdmissibleRange(
@@ -191,8 +189,7 @@ def default_strip_epsilon(sigma: float) -> float:
     return min(0.01, (sigma - 0.5) / 10.0)
 
 
-def strip_logderiv_admissible_range(sigma: float, eps: float | None = None,
-                                    tolerance: float = 1e-10) -> AdmissibleRange:
+def strip_logderiv_admissible_range(sigma: float, eps: float | None = None) -> AdmissibleRange:
     """eta in (0, (1 - E')/(sigma (1 + c(sigma)))) with
     E' = 3(1 - sigma + eps)/(2 - sigma + eps); honestly empty when E' >= 1."""
     _check_strip_sigma(sigma)
@@ -200,7 +197,7 @@ def strip_logderiv_admissible_range(sigma: float, eps: float | None = None,
         eps = default_strip_epsilon(sigma)
     if not (0.0 < eps < sigma - 0.5):
         raise ValueError(f"eps must lie in (0, sigma - 1/2) = (0, {sigma - 0.5:g}), got {eps}")
-    c = resonator_mass_integral(sigma, tolerance)
+    c = resonator_mass_integral(sigma)
     numer = 1.0 - 3.0 * (1.0 - sigma + eps) / (2.0 - sigma + eps)
     upper = numer / (sigma * (1.0 + c)) if numer > 0 else 0.0
     return AdmissibleRange(

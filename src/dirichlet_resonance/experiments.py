@@ -17,9 +17,9 @@ certificate: the maximum of the target functional over eligible characters
 must dominate (Re S2 - excluded-character terms)/S1, because a weighted
 average cannot exceed the maximum.  The functional is |prod_j L(sigma, chi^j; Y)|
 for theorems 1 and 2 and Re prod_j D_j(sigma, chi) for theorems 3 and 4.  A
-violated inequality, S1 < phi(q) or a non-finite value is never silent: it
-lands in the report's ``failures`` with all operands, and the report as a
-whole is marked failed.
+violated inequality, S1 < phi(q), a non-negligible Im S2 or a non-finite
+value is never silent: it lands in the report's ``failures`` with all
+operands, and the report as a whole is marked failed.
 
 Identical configurations produce identical reports (bit-stable given the
 fixed reduction strategy) except for the wall-time field.
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arithmetic import is_prime, primes_up_to
-from .characters import CharacterGroup, eligible
+from .characters import CharacterGroup, power_reduce
 from .constants import (
     default_strip_epsilon,
     strip_l_admissible_range,
@@ -60,10 +60,10 @@ from .resonator import (
     bound_logderiv_product,
     bound_prime_sum,
     max_ell_for_sigma,
-    power_product,
+    require_strip_ell,
+    require_y_covers_x,
     s1,
     s2_terms,
-    strip_ell_limit,
 )
 
 __all__ = [
@@ -141,6 +141,9 @@ class ExperimentConfig:
             raise ConfigError(f"q must be an odd prime, got {self.q}")
         if self.ell < 1:
             raise ConfigError(f"ell must be >= 1, got {self.ell}")
+        if self.ell >= self.q - 1:
+            raise ConfigError(f"the eligible set is empty: ell = {self.ell} >= q - 1 = "
+                              f"{self.q - 1}, the largest character order mod q")
         needs_sigma = self.theorem in (2, 4)
         if needs_sigma and self.sigma is None:
             raise ConfigError(f"theorem {self.theorem} requires sigma")
@@ -148,27 +151,17 @@ class ExperimentConfig:
             raise ConfigError(f"theorem {self.theorem} takes no sigma (got {self.sigma})")
         if needs_sigma and not (0.5 < self.sigma < 1.0):
             raise ConfigError(f"sigma must lie in (1/2, 1), got {self.sigma}")
-        if self.theorem == 4:
-            limit = strip_ell_limit(self.sigma)
-            if not self.ell < limit:
-                raise ConfigError(
-                    f"theorem 4 requires 1 <= ell < 1/(2 - 2 sigma) = {limit:g}; "
-                    f"got ell = {self.ell}"
-                )
-        x = self.x
-        if x is None:
-            try:
+        x, y = self.x, self.y
+        try:
+            if self.theorem == 4:
+                require_strip_ell(self.sigma, self.ell)
+            if x is None:
                 x = default_x(self.theorem, self.q, self.endpoint_margin, self.sigma)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        y = self.y
-        if y is None:
-            y = max(1000, int(math.ceil(x)))
-        if y < x:
-            raise ConfigError(
-                f"the truncation cutoff must dominate the resonator support "
-                f"(X <= Y is required); got X = {x}, Y = {y}"
-            )
+            if y is None:
+                y = max(1000, int(math.ceil(x)))
+            require_y_covers_x(x, y)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if any(not (0 <= e) for e in self.excluded):
             raise ConfigError(f"excluded indices must be >= 0, got {self.excluded}")
         return replace(self, x=float(x), y=int(y), excluded=tuple(self.excluded))
@@ -299,23 +292,10 @@ class TheoremReport:
         }
 
     def csv_row(self) -> dict:
-        return {
-            "q": self.q,
-            "ell": self.ell,
-            "sigma": "" if self.sigma is None else repr(self.sigma),
-            "X": repr(self.x),
-            "Y": self.y,
-            "S1": repr(self.s1),
-            "S2_re": repr(self.s2.real),
-            "S2_im": repr(self.s2.imag),
-            "ratio": repr(self.ratio),
-            "bound": repr(self.bound),
-            "margin": repr(self.margin),
-            "argmax_index": self.argmax_index,
-            "max_value": repr(self.max_value),
-            "certificate": repr(self.certificate),
-            "seconds": repr(self.seconds),
-        }
+        """The REPORT_COLUMNS fields of ``to_dict``; csv writes a float as
+        its repr and None as an empty cell."""
+        row = self.to_dict()
+        return {name: row[name] for name in REPORT_COLUMNS}
 
 
 def _kernel_for(config: ExperimentConfig):
@@ -346,34 +326,26 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
     terms = s2_terms(group, _TARGETS[config.theorem], config.ell, kernel, config.y)
     s1_val = s1(group, kernel)
     s2_val = _fsum_complex(terms)
-    if abs(s2_val.imag) > 1e-9 * (abs(s2_val.real) + s1_val):
-        raise ValueError(
-            f"S2 imaginary part {s2_val.imag:.3e} is not negligible; "
-            "character indexing is likely broken"
-        )
     ratio = s2_val.real / s1_val
     bound = _bound_for(config, kernel)
     margin = ratio - bound
 
-    # eligible characters whose whole power family also avoids the
-    # user-designated exceptional indices
+    # eligible characters: no power chi^j, j <= ell, is principal or one of
+    # the user-designated exceptional indices
     order = group.order
-    mask = eligible(group, config.ell)
-    bad = np.zeros(order, dtype=bool)
-    bad[[e % order for e in config.excluded]] = True
-    ks = np.arange(order, dtype=np.int64)
-    for j in range(1, config.ell + 1):
-        mask &= ~bad[(ks * j) % order]
+    marked = np.zeros(order, dtype=bool)
+    marked[[0, *(e % order for e in config.excluded)]] = True
+    mask = ~power_reduce(marked, config.ell, np.logical_or)
     members = np.flatnonzero(mask)
     if not len(members):
         raise ConfigError(f"eligible set is empty for q={config.q}, ell={config.ell}")
 
     if config.theorem in (1, 2):
-        prod = power_product(truncated_l_all(group, sigma_eff, config.y), config.ell)
-        vals = np.abs(prod)
+        base = truncated_l_all(group, sigma_eff, config.y)
     else:
-        prod = power_product(logderiv_poly_all(group, sigma_eff, config.y), config.ell)
-        vals = prod.real
+        base = logderiv_poly_all(group, sigma_eff, config.y)
+    prod = power_reduce(base, config.ell, np.multiply)
+    vals = np.abs(prod) if config.theorem in (1, 2) else prod.real
     argmax_index = int(members[np.argmax(vals[members])])  # the first maximum
     max_value = float(vals[argmax_index])
     tie_cut = max_value - _TIE_TOL * max(1.0, abs(max_value))
@@ -406,6 +378,11 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
                  if not cmath.isfinite(value)]
     if nonfinite:
         failures.append(f"non-finite values: {', '.join(nonfinite)}")
+    if abs(s2_val.imag) > 1e-9 * (abs(s2_val.real) + s1_val):
+        failures.append(
+            f"Im S2 = {s2_val.imag!r} is not negligible (S2={s2_val!r}, S1={s1_val!r}); "
+            "character indexing is likely broken"
+        )
     if s1_val < order * (1.0 - 1e-12):
         failures.append(f"S1 = {s1_val!r} fell below phi(q) = {order}")
     if margin < -_SLACK * max(1.0, abs(bound)):

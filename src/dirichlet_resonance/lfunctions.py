@@ -131,25 +131,25 @@ def logderiv_poly(chi: Character, sigma: float, y: int) -> LValue:
     return LValue(_fsum_complex(vals * w), "dirichlet-poly", sigma, y)
 
 
-def joint_l_product(chi: Character, ell: int, sigma: float, y: int) -> complex:
-    """prod_{j=1}^{ell} L(sigma, chi^j; y), truncated factors."""
+def _joint_product(evaluate, chi: Character, ell: int, sigma: float, y: int) -> complex:
+    """prod_{j=1}^{ell} evaluate(chi^j, sigma, y).value, one character at a time."""
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     out = 1 + 0j
     for j in range(1, ell + 1):
-        out *= truncated_l(chi.power(j), sigma, y).value
+        out *= evaluate(chi.power(j), sigma, y).value
     return out
+
+
+def joint_l_product(chi: Character, ell: int, sigma: float, y: int) -> complex:
+    """prod_{j=1}^{ell} L(sigma, chi^j; y), truncated factors."""
+    return _joint_product(truncated_l, chi, ell, sigma, y)
 
 
 def joint_logderiv_product(chi: Character, ell: int, sigma: float, y: int) -> complex:
     """prod_{j=1}^{ell} of the -L'/L polynomial for chi^j; equals
     (-1)^ell prod_j L'/L up to the truncation error of each factor."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    out = 1 + 0j
-    for j in range(1, ell + 1):
-        out *= logderiv_poly(chi.power(j), sigma, y).value
-    return out
+    return _joint_product(logderiv_poly, chi, ell, sigma, y)
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +312,19 @@ def digamma(x: float) -> float:
 # exact L and exact L'/L
 # ---------------------------------------------------------------------------
 
+def _residue_class_terms(q: int, s: float) -> tuple[float, np.ndarray]:
+    """(coeff, f) with L(s, chi) = coeff * sum_{a=1}^{q-1} chi(a) f[a-1] for
+    every non-principal chi mod q (digamma at s = 1, else Hurwitz zeta)."""
+    if s == 1.0:
+        return -1.0 / q, np.asarray([digamma(a / q) for a in range(1, q)])
+    return q ** (-s), np.asarray([_hurwitz_zeta_reg(s, a / q) for a in range(1, q)])
+
+
 def _exact_l_value(chi: Character, s: float) -> complex:
     """Finite-sum oracle for L(s, chi), non-principal chi, any s in (1/2, 1.2]."""
     q = chi.group.q
-    if s == 1.0:
-        vals = [digamma(a / q) for a in range(1, q)]
-        coeff = -1.0 / q
-    else:
-        vals = [_hurwitz_zeta_reg(s, a / q) for a in range(1, q)]
-        coeff = q ** (-s)
-    chi_vals = chi.values(np.arange(1, q, dtype=np.int64))
-    terms = chi_vals * np.asarray(vals, dtype=np.float64)
-    return coeff * _fsum_complex(terms)
+    coeff, vals = _residue_class_terms(q, s)
+    return coeff * _fsum_complex(chi.values(np.arange(1, q, dtype=np.int64)) * vals)
 
 
 def exact_l(chi: Character, sigma: float) -> LValue:
@@ -343,12 +344,7 @@ def exact_l_all(group: CharacterGroup, sigma: float) -> np.ndarray:
     """Oracle L(sigma, chi_k) for every non-principal k; entry 0 is NaN."""
     _check_sigma(sigma)
     q = group.q
-    if sigma == 1.0:
-        vals = np.asarray([digamma(a / q) for a in range(1, q)])
-        coeff = -1.0 / q
-    else:
-        vals = np.asarray([_hurwitz_zeta_reg(sigma, a / q) for a in range(1, q)])
-        coeff = q ** (-sigma)
+    coeff, vals = _residue_class_terms(q, sigma)
     mat = group.values_matrix(np.arange(1, q, dtype=np.int64))
     out = coeff * (mat @ vals.astype(np.complex128))
     out[0] = complex(float("nan"), float("nan"))

@@ -25,9 +25,11 @@ character:
     prime-sum:          sum_{j<=ell} sum_{p<=Y} chi(p)^j p^-sigma
     logderiv-product:   prod_{j<=ell} D_j,  D_j = sum_{n<=Y} Lambda(n) chi(n)^j n^-sigma
 
-The summands stay complex; ``experiments.run_theorem`` sums them, checks
-that the imaginary part is negligible (trusting conjugate symmetry silently
-would hide character-indexing bugs) and reduces to the real part.
+Each is one whole-group base vector reduced over the power family by
+``characters.power_reduce``.  The summands stay complex;
+``experiments.run_theorem`` sums them, reports a failure when the imaginary
+part is not negligible (trusting conjugate symmetry silently would hide
+character-indexing bugs) and reduces to the real part.
 X is real-valued; kernel support compares primes by p <= floor(X).
 """
 
@@ -40,7 +42,7 @@ from typing import Union
 import numpy as np
 
 from .arithmetic import primes_up_to
-from .characters import Character, CharacterGroup
+from .characters import Character, CharacterGroup, power_reduce
 from .lfunctions import (
     EULER_GAMMA,
     logderiv_poly_all,
@@ -59,8 +61,6 @@ __all__ = [
     "s1",
     "s1_congruence_oracle",
     "s2_terms",
-    "power_product",
-    "power_sum",
     "bound_l_product",
     "bound_prime_sum",
     "bound_logderiv_product",
@@ -69,6 +69,8 @@ __all__ = [
     "p_j_sigma_asymptotic",
     "max_ell_for_sigma",
     "strip_ell_limit",
+    "require_y_covers_x",
+    "require_strip_ell",
 ]
 
 @dataclass(frozen=True)
@@ -222,31 +224,12 @@ def s1_congruence_oracle(group: CharacterGroup, kernel: ResonanceKernel,
 # per-character S2 terms for the four targets
 # ---------------------------------------------------------------------------
 
-def power_product(vec: np.ndarray, ell: int) -> np.ndarray:
-    """out[k] = prod_{j=1}^{ell} vec[(k*j) mod order]; chi_k^j = chi_{kj}."""
-    order = len(vec)
-    ks = np.arange(order, dtype=np.int64)
-    out = vec.copy()
-    for j in range(2, ell + 1):
-        out *= vec[(ks * j) % order]
-    return out
-
-
-def power_sum(vec: np.ndarray, ell: int) -> np.ndarray:
-    """out[k] = sum_{j=1}^{ell} vec[(k*j) mod order]."""
-    order = len(vec)
-    ks = np.arange(order, dtype=np.int64)
-    out = vec.copy()
-    for j in range(2, ell + 1):
-        out = out + vec[(ks * j) % order]
-    return out
-
-
-def _require_y_covers_x(kernel: ResonanceKernel, y: int) -> None:
-    if y < kernel.x:
+def require_y_covers_x(x: float, y: float) -> None:
+    """Raise ValueError unless X <= Y: the cutoff must cover the resonator support."""
+    if y < x:
         raise ValueError(
             f"the truncation cutoff must dominate the resonator support "
-            f"(X <= Y is required); got X = {kernel.x}, Y = {y}"
+            f"(X <= Y is required); got X = {x}, Y = {y}"
         )
 
 
@@ -269,6 +252,16 @@ def max_ell_for_sigma(sigma: float) -> int:
     return ell
 
 
+def require_strip_ell(sigma: float, ell: int) -> None:
+    """Raise ValueError unless 1 <= ell < 1/(2 - 2 sigma) (strip logderiv target)."""
+    limit = strip_ell_limit(sigma)
+    if not ell < limit:
+        raise ValueError(
+            f"the strip logderiv target needs 1 <= ell < 1/(2 - 2 sigma) "
+            f"= {limit:g}; got ell = {ell}"
+        )
+
+
 def s2_terms(group: CharacterGroup, target: str, ell: int,
              kernel: ResonanceKernel, y: int) -> np.ndarray:
     """Per-character S2 summands (complex), indexed by character index.
@@ -278,22 +271,16 @@ def s2_terms(group: CharacterGroup, target: str, ell: int,
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
-    _require_y_covers_x(kernel, y)
+    require_y_covers_x(kernel.x, y)
     rsq = resonator_sq_all(group, kernel)
     if target == "l-product":
-        base = truncated_l_all(group, kernel.sigma, y)
-        core = power_product(base, ell)
+        core = power_reduce(truncated_l_all(group, kernel.sigma, y), ell, np.multiply)
     elif target == "prime-sum":
-        base = prime_sum_all(group, kernel.sigma, y)
-        core = power_sum(base, ell)
+        core = power_reduce(prime_sum_all(group, kernel.sigma, y), ell, np.add)
     elif target == "logderiv-product":
-        if isinstance(kernel, SigmaKernel) and ell >= strip_ell_limit(kernel.sigma):
-            raise ValueError(
-                f"the strip logderiv target needs 1 <= ell < 1/(2 - 2 sigma) "
-                f"= {strip_ell_limit(kernel.sigma):g}; got ell = {ell}"
-            )
-        base = logderiv_poly_all(group, kernel.sigma, y)
-        core = power_product(base, ell)
+        if isinstance(kernel, SigmaKernel):
+            require_strip_ell(kernel.sigma, ell)
+        core = power_reduce(logderiv_poly_all(group, kernel.sigma, y), ell, np.multiply)
     else:
         raise ValueError(f"unknown S2 target {target!r}")
     return core * rsq

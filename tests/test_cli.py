@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from dirichlet_resonance import experiments
 from dirichlet_resonance.cli import main
 
 
@@ -43,7 +44,8 @@ class TestConstantsCommand:
             capsys,
         )
         assert code == 0
-        rows = list(csv.DictReader(out_file.open()))
+        with out_file.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["C"]) == pytest.approx(1.3266, abs=1e-3)
 
@@ -113,6 +115,18 @@ class TestRunCommand:
         assert code == 1
         assert "FAIL" in out and "non-finite values: S1=inf" in out
 
+    def test_im_s2_failure_is_reported(self, tmp_path, capsys, monkeypatch):
+        fsum = experiments._fsum_complex
+        monkeypatch.setattr(experiments, "_fsum_complex", lambda arr: fsum(arr) + 1j)
+        cfg = self._write_config(
+            tmp_path, {"theorem": 1, "q": 101, "ell": 1, "x": 20.0, "y": 1000}
+        )
+        code, out, _ = run_cli(["run", cfg, "--output", str(tmp_path)], capsys)
+        assert code == 1
+        assert out.startswith("FAIL theorem 1 q=101")
+        assert "failure: Im S2 = 1.0 is not negligible" in out
+        assert json.loads((tmp_path / "report.json").read_text())["passed"] is False
+
 
 class TestSweepCommand:
     def test_row_count(self, tmp_path, capsys):
@@ -124,6 +138,19 @@ class TestSweepCommand:
         with open(tmp_path / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 21  # pi(200) - pi(100)
+
+    def test_im_s2_failure_keeps_every_row(self, tmp_path, capsys, monkeypatch):
+        fsum = experiments._fsum_complex
+        monkeypatch.setattr(experiments, "_fsum_complex", lambda arr: fsum(arr) + 1j)
+        code, out, _ = run_cli(
+            ["sweep", "--theorem", "1", "--primes", "100..200", "--output", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "21 primes, 21 failures" in out
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 21 and all(float(r["S2_im"]) == 1.0 for r in rows)
 
     def test_strip_target_needs_sigma(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dirichlet_resonance import experiments
 from dirichlet_resonance.arithmetic import primes_up_to
-from dirichlet_resonance.characters import CharacterGroup
+from dirichlet_resonance.characters import CharacterGroup, power_reduce
 from dirichlet_resonance.experiments import (
     REPORT_COLUMNS,
     ConfigError,
@@ -35,7 +35,6 @@ from dirichlet_resonance.resonator import (
     LinearKernel,
     SigmaKernel,
     bound_l_product,
-    power_product,
     resonator_sq,
     s2_terms,
 )
@@ -221,6 +220,37 @@ class TestFailuresAreReported:
         report = run_theorem(ExperimentConfig(1, 101, 1, x=20.0, y=1000))
         assert "S1 = 1.0 fell below phi(q) = 100" in report.failures
 
+    def test_im_s2_not_negligible(self, monkeypatch):
+        fsum = experiments._fsum_complex
+        monkeypatch.setattr(experiments, "_fsum_complex", lambda arr: fsum(arr) + 1j)
+        report = run_theorem(ExperimentConfig(1, 101, 1, x=20.0, y=1000))
+        assert not report.passed and report.s2.imag == 1.0
+        [failure] = report.failures
+        assert failure.startswith("Im S2 = 1.0 is not negligible")
+        assert f"S2={report.s2!r}" in failure and f"S1={report.s1!r}" in failure
+
+
+class TestEmptyEligibleSetRejectedUpFront:
+    """ell >= q - 1 leaves no character of order > ell; validation says so
+    before any evaluation."""
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated a configuration that validation must reject")
+
+        for name in ("CharacterGroup", "s2_terms", "s1", "truncated_l_all", "logderiv_poly_all"):
+            monkeypatch.setattr(experiments, name, evaluated)
+
+    @pytest.mark.parametrize("q,ell", [(3, 2), (5, 4), (101, 100), (101, 10**5)])
+    def test_ell_at_least_q_minus_one(self, no_evaluation, q, ell):
+        with pytest.raises(ConfigError, match="eligible set is empty"):
+            run_theorem(ExperimentConfig(1, q, ell, x=2.0, y=100))
+
+    def test_largest_admissible_ell_still_validates(self, no_evaluation):
+        cfg = ExperimentConfig(1, 101, 99, x=2.0, y=100).validated()
+        assert cfg.ell == 99
+
 
 @st.composite
 def _masked_configs(draw):
@@ -262,9 +292,9 @@ class TestMaskBookkeeping:
         target = experiments._TARGETS[cfg.theorem]
         terms = s2_terms(group, target, ell, kernel, cfg.y)
         if cfg.theorem in (1, 2):
-            vals = np.abs(power_product(truncated_l_all(group, kernel.sigma, cfg.y), ell))
+            vals = np.abs(power_reduce(truncated_l_all(group, kernel.sigma, cfg.y), ell, np.multiply))
         else:
-            vals = power_product(logderiv_poly_all(group, kernel.sigma, cfg.y), ell).real
+            vals = power_reduce(logderiv_poly_all(group, kernel.sigma, cfg.y), ell, np.multiply).real
         best = members[0]
         for k in members:
             if vals[k] > vals[best]:
@@ -292,6 +322,16 @@ class TestReferenceNeverServesTheFastPath:
 
         monkeypatch.setattr(CharacterGroup, "values_matrix", reference_only)
         report = run_theorem(ExperimentConfig(theorem, q, 1, x=20.0, y=2000, sigma=sigma))
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("theorem,sigma", [(1, None), (2, 0.9), (3, None), (4, 0.9)])
+    def test_run_theorem_without_root_table(self, monkeypatch, theorem, sigma):
+        # above q = 499 no oracle gap is computed, so nothing may read the table
+        def reference_only(self):
+            raise AssertionError("root_table read on the fast path")
+
+        monkeypatch.setattr(CharacterGroup, "root_table", property(reference_only))
+        report = run_theorem(ExperimentConfig(theorem, 1009, 2, x=20.0, y=2000, sigma=sigma))
         assert report.passed, report.failures
 
 
@@ -395,17 +435,26 @@ class TestOracleComparison:
 
 class TestWriters:
     def test_csv_schema(self, tmp_path):
-        report = run_theorem(ExperimentConfig(1, 101, 1, x=20.0, y=1000))
+        reports = [
+            run_theorem(ExperimentConfig(1, 101, 1, x=20.0, y=1000)),
+            run_theorem(ExperimentConfig(2, 211, 2, x=30.0, y=1000, sigma=0.75)),
+        ]
         path = tmp_path / "report.csv"
-        write_reports_csv(str(path), [report])
+        write_reports_csv(str(path), reports)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(REPORT_COLUMNS)
-        assert len(rows) == 2
-        parsed = dict(zip(rows[0], rows[1]))
-        assert int(parsed["q"]) == 101
-        assert float(parsed["margin"]) == pytest.approx(report.margin, rel=1e-15)
-        assert parsed["sigma"] == ""
+        assert len(rows) == 3
+        for report, row in zip(reports, rows[1:]):
+            want = report.to_dict()
+            for name, cell in zip(rows[0], row):
+                value = want[name]
+                if value is None:
+                    assert cell == "", name
+                else:
+                    assert type(value)(cell) == value, name
+        assert rows[1][REPORT_COLUMNS.index("sigma")] == ""
+        assert float(rows[2][REPORT_COLUMNS.index("sigma")]) == 0.75
 
     def test_json_round_trip(self, tmp_path):
         report = run_theorem(ExperimentConfig(2, 101, 1, x=20.0, y=1000, sigma=0.75))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichlet_resonance.arithmetic import prime_powers_up_to, primes_up_to
-from dirichlet_resonance.characters import CharacterGroup
+from dirichlet_resonance.characters import CharacterGroup, power_reduce
 from dirichlet_resonance.experiments import ExperimentConfig, run_theorem
 from dirichlet_resonance.lfunctions import truncated_l
 from dirichlet_resonance.resonator import (
@@ -23,7 +23,6 @@ from dirichlet_resonance.resonator import (
     p_j,
     p_j_linear_asymptotic,
     p_j_sigma_asymptotic,
-    power_product,
     resonator_sq,
     resonator_sq_all,
     s1,
@@ -428,8 +427,15 @@ class TestDeterminism:
         assert a.s1 == b.s1 and a.s2 == b.s2 and a.ratio == b.ratio
 
     def test_power_product_indexing(self):
-        vec = np.arange(1, 7, dtype=np.complex128)
-        out = power_product(vec, 2)
-        order = 6
-        for k in range(order):
-            assert out[k] == vec[k] * vec[(2 * k) % order]
+        # power_reduce against the per-character loop, for every op it serves
+        order = 12
+        values = np.arange(1, order + 1, dtype=np.complex128) * (1 + 0.5j)
+        marked = np.isin(np.arange(order), [0, 3])
+        for op, reduce, vec in [(np.multiply, math.prod, values), (np.add, sum, values),
+                                (np.logical_or, any, marked)]:
+            for ell in (1, 2, 3, 5, order + 2):
+                out = power_reduce(vec, ell, op)
+                assert out.dtype == vec.dtype
+                for k in range(order):
+                    want = reduce([vec[(k * j) % order] for j in range(1, ell + 1)])
+                    assert out[k] == want, (op, ell, k)
