@@ -1,5 +1,6 @@
 """Prime sieving, multiplicative-function tables, and the classical prime sums
-the resonance bounds are built from.
+the resonance bounds are built from, plus the input rules every module
+shares: ``require_positive`` (counts) and ``require_odd_prime`` (the modulus).
 
 Everything here is exact integer combinatorics plus double-precision prime
 sums.  Long sums go through ``math.fsum`` (an error-free summation), so
@@ -25,6 +26,8 @@ __all__ = [
     "primes_up_to",
     "prime_powers_up_to",
     "is_prime",
+    "require_positive",
+    "require_odd_prime",
     "von_mangoldt",
     "primitive_root",
     "build_dlog",
@@ -149,10 +152,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_positive(name: str, value: int) -> None:
+    """Raise ValueError unless the count ``name`` is at least 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def require_odd_prime(q: int) -> None:
+    """Raise ValueError unless q is an odd prime, the only moduli handled here."""
+    if q < 3 or not is_prime(q):
+        raise ValueError(f"q must be an odd prime, got {q}")
+
+
 def von_mangoldt(n: int) -> float:
     """Lambda(n): log p if n = p^k for a prime p, else 0.  Natural-log units."""
-    if n < 1:
-        raise ValueError(f"von Mangoldt is defined for n >= 1, got {n}")
+    require_positive("n", n)
     if n == 1:
         return 0.0
     for p in range(2, math.isqrt(n) + 1):
@@ -182,8 +196,7 @@ def primitive_root(q: int) -> int:
 
     The smallest-root convention keeps every downstream table deterministic.
     """
-    if q < 3 or not is_prime(q):
-        raise ValueError(f"q must be an odd prime, got {q}")
+    require_odd_prime(q)
     factors = _prime_factors(q - 1)
     for g in range(2, q):
         if all(pow(g, (q - 1) // f, q) != 1 for f in factors):
@@ -207,8 +220,7 @@ def enumerate_smooth(x: int, cap: int) -> SmoothSet:
     exponents (no filtering, so caps up to 1e9 stay cheap when x is small)."""
     if x < 2:
         raise ValueError(f"smoothness bound must be >= 2, got {x}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    require_positive("cap", cap)
     ps = [int(p) for p in primes_up_to(min(x, cap))]
     out: list[int] = []
 
@@ -227,8 +239,7 @@ def enumerate_smooth(x: int, cap: int) -> SmoothSet:
 
 def harmonic(j: int) -> float:
     """H_j = sum_{k<=j} 1/k."""
-    if j < 1:
-        raise ValueError(f"harmonic number needs j >= 1, got {j}")
+    require_positive("j", j)
     return math.fsum(1.0 / k for k in range(1, j + 1))
 
 

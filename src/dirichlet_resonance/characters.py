@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .arithmetic import DiscreteLogTable, build_dlog
+from .arithmetic import DiscreteLogTable, build_dlog, require_positive
 
 __all__ = [
     "CharacterGroup",
@@ -62,34 +62,28 @@ class CharacterGroup:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _gather(self, ks: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        """M[i, j] = chi_{ks[i]}(ns[j]) = root[(ks[i] dlog ns[j]) mod (q-1)],
+        and 0 where q | ns[j]."""
+        ns = np.asarray(ns, dtype=np.int64)
+        r = ns % self.q
+        out = np.zeros((len(ks), len(ns)), dtype=np.complex128)
+        nz = r != 0
+        idx = (np.asarray(ks, dtype=np.int64)[:, None] * self.dlog.dlog[r[nz]]) % self.order
+        out[:, nz] = self.root_table[idx]
+        return out
+
     def value(self, index: int, n: int) -> complex:
         """chi_index(n) as an exact root of unity (0 when q | n)."""
-        r = n % self.q
-        if r == 0:
-            return 0j
-        e = (index * int(self.dlog.dlog[r])) % self.order
-        return complex(self.root_table[e])
+        return complex(self._gather([index], [n % self.q])[0, 0])
 
     def value_row(self, index: int, ns: np.ndarray) -> np.ndarray:
         """chi_index over an integer array."""
-        ns = np.asarray(ns, dtype=np.int64)
-        r = ns % self.q
-        out = np.zeros(len(ns), dtype=np.complex128)
-        nz = r != 0
-        e = (index * self.dlog.dlog[r[nz]]) % self.order
-        out[nz] = self.root_table[e]
-        return out
+        return self._gather([index], ns)[0]
 
     def values_matrix(self, ns: np.ndarray) -> np.ndarray:
         """Matrix M[k, i] = chi_k(ns[i]) over every character index k."""
-        ns = np.asarray(ns, dtype=np.int64)
-        r = ns % self.q
-        out = np.zeros((self.order, len(ns)), dtype=np.complex128)
-        nz = r != 0
-        d = self.dlog.dlog[r[nz]]
-        idx = (np.arange(self.order, dtype=np.int64)[:, None] * d[None, :]) % self.order
-        out[:, nz] = self.root_table[idx]
-        return out
+        return self._gather(np.arange(self.order), ns)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CharacterGroup(q={self.q}, g={self.dlog.g})"
@@ -159,8 +153,7 @@ def eligible(group: CharacterGroup, ell: int) -> np.ndarray:
     kj mod (q-1) is periodic in j with period q-1, so powers past q-1 mark
     nothing new and the family is cut there.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_positive("ell", ell)
     principal = np.arange(group.order) == 0
     return ~power_reduce(principal, min(ell, group.order), np.logical_or)
 

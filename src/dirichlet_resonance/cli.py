@@ -3,7 +3,8 @@
 Flags mirror the conventional parameter symbols (--ell, --sigma, --X, --Y,
 --margin) so configurations read the same on the command line and in the
 reports.  Everything is randomness-free; there is no seed to pass.  Exit
-status is 0 iff every requested check passed.
+status is 0 iff every requested check passed, and 2 for invalid input or a
+file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 
 from . import constants as con
 from . import experiments as exp
+from .arithmetic import require_positive
 
 __all__ = ["main", "build_parser"]
 
@@ -90,11 +92,13 @@ _CONST_COLUMNS = {
 
 
 def _cmd_constants(args, parser) -> int:
-    if not args.ell:
-        parser.error("--ell needs at least one value")
-    for s in args.sigma:
-        if not (0.5 < s < 1.0):
-            parser.error(f"--sigma values must lie in (1/2, 1); got {s}")
+    try:
+        for ell in args.ell:
+            require_positive("ell", ell)
+        for sigma in args.sigma:
+            con.require_strip_sigma(sigma)
+    except ValueError as err:
+        parser.error(str(err))
     if args.columns is None:
         cols = [c for c, (needs_sigma, _) in _CONST_COLUMNS.items()
                 if args.sigma or not needs_sigma]
@@ -208,9 +212,7 @@ def _cmd_sweep(args, parser) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def _cmd_oracle(args, parser) -> int:
-    if args.sigma != 1.0 and not (0.5 < args.sigma < 1.0):
-        parser.error(f"--sigma must be 1.0 or in (1/2, 1); got {args.sigma}")
+def _cmd_oracle(args) -> int:
     try:
         comp = exp.oracle_comparison(args.q, args.sigma, tuple(args.y_grid))
     except ValueError as err:
@@ -245,18 +247,18 @@ def _cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "constants":
-        return _cmd_constants(args, parser)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args, parser)
-    if args.command == "oracle":
-        return _cmd_oracle(args, parser)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
+    commands = {
+        "constants": lambda: _cmd_constants(args, parser),
+        "run": lambda: _cmd_run(args),
+        "sweep": lambda: _cmd_sweep(args, parser),
+        "oracle": lambda: _cmd_oracle(args),
+        "verify": lambda: _cmd_verify(args),
+    }
+    try:
+        return commands[args.command]()
+    except OSError as err:  # names the path: a missing config or an unwritable output
+        print(f"file error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,5 +1,7 @@
 """Closed-form constants and admissibility conditions of the four target
-inequalities.
+inequalities, and the one checker of each hypothesis on sigma and ell that
+the kernels, ``ExperimentConfig.validated`` and the CLI all call:
+``require_strip_sigma`` and ``require_strip_ell``.
 
 Naming maps the targets to their constants:
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arithmetic import harmonic, prime_power_tail_constant
+from .arithmetic import harmonic, prime_power_tail_constant, require_positive
 from .lfunctions import EULER_GAMMA
 
 __all__ = [
@@ -39,6 +41,10 @@ __all__ = [
     "default_strip_epsilon",
     "strip_logderiv_poly_params",
     "binomial_beta_identity_check",
+    "require_strip_sigma",
+    "strip_ell_limit",
+    "max_ell_for_sigma",
+    "require_strip_ell",
 ]
 
 LOG_LOG_4 = math.log(math.log(4.0))
@@ -70,24 +76,55 @@ class AdmissibleRange:
         return 0.5 * (self.lower + self.upper)
 
 
-def _check_strip_sigma(sigma: float) -> None:
+def require_strip_sigma(sigma: float) -> None:
+    """Raise ValueError unless sigma lies in the open strip (1/2, 1)."""
     if not (0.5 < sigma < 1.0):
         raise ValueError(f"sigma must lie in (1/2, 1), got {sigma}")
 
 
+def strip_ell_limit(sigma: float) -> float:
+    """The strict upper limit 1/(2 - 2 sigma) for ell on the strip logderiv
+    target, with boundary noise snapped to the nearest integer."""
+    limit = 1.0 / (2.0 - 2.0 * sigma)
+    nearest = round(limit)
+    if nearest >= 1 and abs(limit - nearest) <= 1e-9 * limit:
+        return float(nearest)
+    return limit
+
+
+def max_ell_for_sigma(sigma: float) -> int:
+    """Largest integer ell with ell < 1/(2 - 2 sigma) (strip logderiv target)."""
+    limit = strip_ell_limit(sigma)
+    ell = int(math.floor(limit))
+    if ell >= limit:  # the bound is strict
+        ell -= 1
+    return ell
+
+
+def require_strip_ell(sigma: float, ell: int) -> None:
+    """Raise ValueError unless sigma is in the strip and 1 <= ell < 1/(2 - 2 sigma)
+    (strip logderiv target)."""
+    require_strip_sigma(sigma)
+    require_positive("ell", ell)
+    limit = strip_ell_limit(sigma)
+    if not ell < limit:
+        raise ValueError(
+            f"the strip logderiv target needs 1 <= ell < 1/(2 - 2 sigma) "
+            f"= {limit:g}; got ell = {ell}"
+        )
+
+
 def joint_l_line_constant(ell: int) -> float:
     """C(ell) = (ell + 1)/2 + log log 4."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_positive("ell", ell)
     return (ell + 1) / 2.0 + LOG_LOG_4
 
 
 def joint_l_strip_constant(sigma: float, ell: int) -> float:
     """S(sigma, ell) = ell/(1-sigma)
     + sum_{m=1}^{ell} (-1)^m C(ell+1, m+1) / (1 + sigma (m-1))."""
-    _check_strip_sigma(sigma)
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_strip_sigma(sigma)
+    require_positive("ell", ell)
     terms = [ell / (1.0 - sigma)]
     for m in range(1, ell + 1):
         terms.append((-1) ** m * math.comb(ell + 1, m + 1) / (1.0 + sigma * (m - 1)))
@@ -97,9 +134,8 @@ def joint_l_strip_constant(sigma: float, ell: int) -> float:
 def joint_l_strip_constant_alt(sigma: float, ell: int) -> float:
     """The other printed form of S(sigma, ell), with the m = 1 term written
     out as -(ell+1) ell / 2; agrees with the first to rounding."""
-    _check_strip_sigma(sigma)
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_strip_sigma(sigma)
+    require_positive("ell", ell)
     terms = [ell / (1.0 - sigma), -((ell + 1) * ell) / 2.0]
     for m in range(2, ell + 1):
         terms.append((-1) ** m * math.comb(ell + 1, m + 1) / (1.0 + sigma * (m - 1)))
@@ -112,19 +148,17 @@ def joint_logderiv_line_coefficient(tolerance: float = 1e-6) -> float:
     return 1.0 - LOG_LOG_4 - EULER_GAMMA - prime_power_tail_constant(tolerance)
 
 
-def joint_logderiv_line_constant(ell: int, tolerance: float = 1e-6) -> float:
+def joint_logderiv_line_constant(ell: int) -> float:
     """Q(ell) = ell * (1 - loglog4 - gamma - sum_p log p/(p(p-1)))
     - (ell+1) H_ell.  Always negative; ~ -ell log ell for large ell."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    return ell * joint_logderiv_line_coefficient(tolerance) - (ell + 1) * harmonic(ell)
+    require_positive("ell", ell)
+    return ell * joint_logderiv_line_coefficient() - (ell + 1) * harmonic(ell)
 
 
 def joint_logderiv_strip_constant(sigma: float, ell: int) -> float:
     """H(sigma, ell) = prod_{j<=ell} ( j!/(1-sigma) * prod_{m<j} (m + 1/sigma)^-1 )."""
-    _check_strip_sigma(sigma)
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_strip_sigma(sigma)
+    require_positive("ell", ell)
     out = 1.0
     for j in range(1, ell + 1):
         denom = 1.0
@@ -142,7 +176,7 @@ def resonator_mass_integral(sigma: float, tolerance: float = 1e-10) -> float:
     The terms past K total less than 2^-K, so the sum stops at the first K
     with 2^-K <= tolerance.
     """
-    _check_strip_sigma(sigma)
+    require_strip_sigma(sigma)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     n_terms = max(1, math.ceil(-math.log2(tolerance)))
@@ -174,7 +208,7 @@ def strip_logderiv_inequality_slack(eta: float, sigma: float, eps: float) -> flo
 def strip_l_admissible_range(sigma: float) -> AdmissibleRange:
     """kappa in (0, (1 - E)/(sigma (1 + c(sigma)))) with
     E = (9/4 - 3 sigma/2)/(7/4 - sigma/2); open at both ends."""
-    _check_strip_sigma(sigma)
+    require_strip_sigma(sigma)
     c = resonator_mass_integral(sigma)
     numer = 1.0 - (2.25 - 1.5 * sigma) / (1.75 - 0.5 * sigma)
     upper = numer / (sigma * (1.0 + c)) if numer > 0 else 0.0
@@ -192,7 +226,7 @@ def default_strip_epsilon(sigma: float) -> float:
 def strip_logderiv_admissible_range(sigma: float, eps: float | None = None) -> AdmissibleRange:
     """eta in (0, (1 - E')/(sigma (1 + c(sigma)))) with
     E' = 3(1 - sigma + eps)/(2 - sigma + eps); honestly empty when E' >= 1."""
-    _check_strip_sigma(sigma)
+    require_strip_sigma(sigma)
     if eps is None:
         eps = default_strip_epsilon(sigma)
     if not (0.0 < eps < sigma - 0.5):
@@ -211,18 +245,13 @@ def strip_logderiv_poly_params(sigma: float, ell: int) -> tuple[float, float]:
 
     omega must lie in ((1-sigma)(ell-1), sigma - 1/2); we take the midpoint
     (membership is all that is required).  beta_min = 1/(omega - (1-sigma)(ell-1))
-    and is always > 1 on the admissible range.
+    and is always > 1 on the admissible range.  For every ell that
+    ``require_strip_ell`` admits the interval width (1-sigma)(limit - ell) is
+    positive (> 5e-10 unless 1 - sigma < 1e-9), so omega and beta_min are finite.
     """
-    _check_strip_sigma(sigma)
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_strip_ell(sigma, ell)
     lower = (1.0 - sigma) * (ell - 1)
     upper = sigma - 0.5
-    if not (lower < upper - 1e-9 * max(1.0, upper)):
-        raise ValueError(
-            f"omega interval ({lower:g}, {upper:g}) is empty: need "
-            f"1 <= ell < 1/(2 - 2 sigma) = {1.0 / (2.0 - 2.0 * sigma):g}"
-        )
     omega = 0.5 * (lower + upper)
     beta_min = 1.0 / (omega - lower)
     if not beta_min > 1.0:

@@ -32,25 +32,26 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arithmetic import is_prime, primes_up_to
+from .arithmetic import primes_up_to, require_odd_prime, require_positive
 from .characters import CharacterGroup, power_reduce
 from .constants import (
     default_strip_epsilon,
+    max_ell_for_sigma,
+    require_strip_ell,
+    require_strip_sigma,
     strip_l_admissible_range,
     strip_logderiv_admissible_range,
 )
 from .lfunctions import (
     EULER_GAMMA,
-    NearZeroLValue,
     _fsum_complex,
     exact_l,
     exact_l_all,
     logderiv_poly_all,
-    truncated_l,
     truncated_l_all,
 )
 from .resonator import (
@@ -59,8 +60,6 @@ from .resonator import (
     bound_l_product,
     bound_logderiv_product,
     bound_prime_sum,
-    max_ell_for_sigma,
-    require_strip_ell,
     require_y_covers_x,
     s1,
     s2_terms,
@@ -95,6 +94,7 @@ REPORT_COLUMNS = (
 
 _TIE_TOL = 1e-9
 _SLACK = 1e-12
+_ORACLE_MAX_Q = 499  # largest q the scalar Hurwitz/digamma oracle is run at
 
 _TARGETS = {1: "l-product", 2: "prime-sum", 3: "logderiv-product", 4: "logderiv-product"}
 
@@ -123,7 +123,8 @@ class ExperimentConfig:
     output: str | None = None
 
     def validated(self) -> "ExperimentConfig":
-        """Check types and invariants and fill derived defaults for x and y."""
+        """Check types and invariants and fill derived defaults for x and y;
+        a shared rule checker's ValueError is raised as ConfigError."""
         for name in ("theorem", "q", "ell"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -137,26 +138,26 @@ class ExperimentConfig:
             raise ConfigError(f"output must be a path string, got {self.output!r}")
         if self.theorem not in (1, 2, 3, 4):
             raise ConfigError(f"theorem must be 1..4, got {self.theorem}")
-        if not is_prime(self.q) or self.q < 3:
-            raise ConfigError(f"q must be an odd prime, got {self.q}")
-        if self.ell < 1:
-            raise ConfigError(f"ell must be >= 1, got {self.ell}")
-        if self.ell >= self.q - 1:
-            raise ConfigError(f"the eligible set is empty: ell = {self.ell} >= q - 1 = "
-                              f"{self.q - 1}, the largest character order mod q")
         needs_sigma = self.theorem in (2, 4)
-        if needs_sigma and self.sigma is None:
-            raise ConfigError(f"theorem {self.theorem} requires sigma")
-        if not needs_sigma and self.sigma is not None:
-            raise ConfigError(f"theorem {self.theorem} takes no sigma (got {self.sigma})")
-        if needs_sigma and not (0.5 < self.sigma < 1.0):
-            raise ConfigError(f"sigma must lie in (1/2, 1), got {self.sigma}")
         x, y = self.x, self.y
         try:
+            require_odd_prime(self.q)
+            require_positive("ell", self.ell)
+            if self.ell >= self.q - 1:
+                raise ValueError(f"the eligible set is empty: ell = {self.ell} >= q - 1 = "
+                                 f"{self.q - 1}, the largest character order mod q")
+            if needs_sigma and self.sigma is None:
+                raise ValueError(f"theorem {self.theorem} requires sigma")
+            if not needs_sigma and self.sigma is not None:
+                raise ValueError(f"theorem {self.theorem} takes no sigma (got {self.sigma})")
+            if needs_sigma:
+                require_strip_sigma(self.sigma)
             if self.theorem == 4:
                 require_strip_ell(self.sigma, self.ell)
             if x is None:
                 x = default_x(self.theorem, self.q, self.endpoint_margin, self.sigma)
+            if not x > 0:
+                raise ValueError(f"X must be > 0, got {x}")
             if y is None:
                 y = max(1000, int(math.ceil(x)))
             require_y_covers_x(x, y)
@@ -182,8 +183,9 @@ def default_x(theorem: int, q: int, endpoint_margin: float = 0.01,
     legal boundary itself, which is non-strict)."""
     if q < 17:
         raise ValueError(f"default X needs q >= 17 so that loglog q > 1; got {q}")
-    if endpoint_margin < 0:
-        raise ValueError("endpoint_margin must be >= 0")
+    if endpoint_margin < 0 or (theorem in (2, 3, 4) and endpoint_margin >= 1):
+        raise ValueError(f"endpoint_margin must be >= 0, and < 1 for theorems 2-4 "
+                         f"(X scales with 1 - margin); got {endpoint_margin}")
     l1 = math.log(q)
     l2 = math.log(l1)
     if theorem == 1:
@@ -215,10 +217,7 @@ def config_from_json(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
-    known = {
-        "theorem", "q", "ell", "x", "y", "sigma", "excluded",
-        "endpoint_margin", "output",
-    }
+    known = {f.name for f in fields(ExperimentConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}; known keys are {sorted(known)}")
@@ -359,15 +358,10 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
         logderiv_mod = float(np.abs(prod)[argmax_index])
 
     oracle_gap = None
-    if config.theorem in (1, 2) and config.q <= 499:
-        chi_star = group.character(argmax_index)
-        try:
-            ex = exact_l(chi_star, sigma_eff).value
-            tr = truncated_l(chi_star, sigma_eff, config.y).value
-            if abs(ex) >= 1e-8:
-                oracle_gap = abs(tr - ex) / abs(ex)
-        except NearZeroLValue:
-            oracle_gap = None
+    if config.theorem in (1, 2) and config.q <= _ORACLE_MAX_Q:
+        ex = exact_l(group.character(argmax_index), sigma_eff).value
+        if abs(ex) >= 1e-8:
+            oracle_gap = float(abs(base[argmax_index] - ex) / abs(ex))
 
     failures = []
     checked = {
@@ -483,8 +477,7 @@ def sweep(theorem: int, prime_range: tuple[int, int], ell: int = 1,
     that the ratio approaches from below.  ``jobs`` caps the worker
     processes; no more are started than there are primes.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    require_positive("jobs", jobs)
     lo, hi = prime_range
     qs = _primes_in_range(lo, hi)
     if not qs:
@@ -541,8 +534,8 @@ class OracleComparison:
 def oracle_comparison(q: int, sigma: float, y_grid: tuple[int, ...]) -> OracleComparison:
     """Measure the truncation error of L(sigma, chi; Y) against the exact
     oracle, for every non-principal character mod q and every Y in the grid."""
-    if q > 499:
-        raise ValueError(f"the oracle table is restricted to q <= 499, got {q}")
+    if q > _ORACLE_MAX_Q:
+        raise ValueError(f"the oracle table is restricted to q <= {_ORACLE_MAX_Q}, got {q}")
     if not y_grid:
         raise ValueError("y_grid must be non-empty")
     group = CharacterGroup(q)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import PrecisionError, prime_powers_up_to, primes_up_to
+from .arithmetic import PrecisionError, prime_powers_up_to, primes_up_to, require_positive
 from .characters import Character, CharacterGroup
 
 __all__ = [
@@ -88,8 +88,7 @@ def _check_sigma(sigma: float) -> None:
 
 
 def _check_cutoff(y: int) -> None:
-    if y < 1:
-        raise ValueError(f"truncation cutoff must be >= 1, got {y}")
+    require_positive("truncation cutoff", y)
     if y > 10**8:
         raise PrecisionError(f"cutoff {y} exceeds the double-precision budget (1e8)")
 
@@ -133,8 +132,7 @@ def logderiv_poly(chi: Character, sigma: float, y: int) -> LValue:
 
 def _joint_product(evaluate, chi: Character, ell: int, sigma: float, y: int) -> complex:
     """prod_{j=1}^{ell} evaluate(chi^j, sigma, y).value, one character at a time."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_positive("ell", ell)
     out = 1 + 0j
     for j in range(1, ell + 1):
         out *= evaluate(chi.power(j), sigma, y).value
@@ -273,16 +271,17 @@ def hurwitz_zeta(s: float, a: float, n_terms: int = 30, order: int = 12) -> floa
     return head + base ** (1.0 - s) / (s - 1.0) + corr + tail
 
 
-def _hurwitz_zeta_reg(s: float, a: float, n_terms: int = 30, order: int = 12) -> float:
+def _hurwitz_zeta_reg(s: float, a: float) -> float:
     """zeta(s, a) - 1/(s - 1), analytic through s = 1 (limit -psi(a)).
 
     Used by the oracle for non-principal characters, whose chi-weighted pole
     terms cancel exactly; subtracting them term by term avoids catastrophic
-    cancellation when sigma sits near 1.
+    cancellation when sigma sits near 1.  Same 30 terms and order 12 as
+    ``hurwitz_zeta``'s defaults.
     """
     if s <= 0.5:
         raise ValueError(f"s must exceed 1/2, got {s}")
-    head, corr, tail, base = _hurwitz_em_terms(s, a, n_terms, order)
+    head, corr, tail, base = _hurwitz_em_terms(s, a, 30, 12)
     lb = math.log(base)
     if s == 1.0:
         pole_free = -lb

@@ -30,7 +30,9 @@ Each is one whole-group base vector reduced over the power family by
 ``experiments.run_theorem`` sums them, reports a failure when the imaginary
 part is not negligible (trusting conjugate symmetry silently would hide
 character-indexing bugs) and reduces to the real part.
-X is real-valued; kernel support compares primes by p <= floor(X).
+X is real-valued; kernel support compares primes by p <= floor(X).  The
+hypotheses on sigma and ell are checked by ``constants.require_strip_sigma``,
+``constants.require_strip_ell`` and ``arithmetic.require_positive``.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from typing import Union
 
 import numpy as np
 
-from .arithmetic import primes_up_to
+from .arithmetic import harmonic, primes_up_to, require_positive
 from .characters import Character, CharacterGroup, power_reduce
+from .constants import max_ell_for_sigma, require_strip_ell, require_strip_sigma
 from .lfunctions import (
     EULER_GAMMA,
     logderiv_poly_all,
@@ -67,10 +70,8 @@ __all__ = [
     "p_j",
     "p_j_linear_asymptotic",
     "p_j_sigma_asymptotic",
-    "max_ell_for_sigma",
-    "strip_ell_limit",
+    "max_ell_for_sigma",  # from .constants; scripts and tests import it from here
     "require_y_covers_x",
-    "require_strip_ell",
 ]
 
 @dataclass(frozen=True)
@@ -97,8 +98,7 @@ class SigmaKernel:
     sigma: float
 
     def __post_init__(self):
-        if not (0.5 < self.sigma < 1.0):
-            raise ValueError(f"kernel sigma must lie in (1/2, 1), got {self.sigma}")
+        require_strip_sigma(self.sigma)
 
     def prime_values(self, ps: np.ndarray) -> np.ndarray:
         ps = ps.astype(np.float64)
@@ -189,8 +189,7 @@ def s1_congruence_oracle(group: CharacterGroup, kernel: ResonanceKernel,
     phi(q) * (F^2 - S_cap^2) with F = prod (1 - r(p))^-1 >= sum_all r(n),
     intentionally a crude majorant.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    require_positive("cap", cap)
     q = group.q
     ps, rv = _support(kernel, exclude_q=q)
     active = rv > 0.0
@@ -233,35 +232,6 @@ def require_y_covers_x(x: float, y: float) -> None:
         )
 
 
-def strip_ell_limit(sigma: float) -> float:
-    """The strict upper limit 1/(2 - 2 sigma) for ell on the strip logderiv
-    target, with boundary noise snapped to the nearest integer."""
-    limit = 1.0 / (2.0 - 2.0 * sigma)
-    nearest = round(limit)
-    if nearest >= 1 and abs(limit - nearest) <= 1e-9 * limit:
-        return float(nearest)
-    return limit
-
-
-def max_ell_for_sigma(sigma: float) -> int:
-    """Largest integer ell with ell < 1/(2 - 2 sigma) (strip logderiv target)."""
-    limit = strip_ell_limit(sigma)
-    ell = int(math.floor(limit))
-    if ell >= limit:  # the bound is strict
-        ell -= 1
-    return ell
-
-
-def require_strip_ell(sigma: float, ell: int) -> None:
-    """Raise ValueError unless 1 <= ell < 1/(2 - 2 sigma) (strip logderiv target)."""
-    limit = strip_ell_limit(sigma)
-    if not ell < limit:
-        raise ValueError(
-            f"the strip logderiv target needs 1 <= ell < 1/(2 - 2 sigma) "
-            f"= {limit:g}; got ell = {ell}"
-        )
-
-
 def s2_terms(group: CharacterGroup, target: str, ell: int,
              kernel: ResonanceKernel, y: int) -> np.ndarray:
     """Per-character S2 summands (complex), indexed by character index.
@@ -269,8 +239,7 @@ def s2_terms(group: CharacterGroup, target: str, ell: int,
     ``run_theorem`` sums these for S2 and subtracts the excluded characters'
     terms from the same numbers for the certificate.
     """
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_positive("ell", ell)
     require_y_covers_x(kernel.x, y)
     rsq = resonator_sq_all(group, kernel)
     if target == "l-product":
@@ -293,8 +262,7 @@ def s2_terms(group: CharacterGroup, target: str, ell: int,
 def bound_l_product(kernel: LinearKernel, ell: int) -> float:
     """prod_{j<=ell} prod_{p<=X} (1 - r(p)^j / p)^-1, the exact finite form
     of the line-target ratio bound (not its asymptotic expansion)."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_positive("ell", ell)
     ps, rv = _support(kernel)
     if len(ps) == 0:
         return 1.0
@@ -307,8 +275,7 @@ def bound_l_product(kernel: LinearKernel, ell: int) -> float:
 
 def bound_prime_sum(kernel: SigmaKernel, ell: int) -> float:
     """sum_{j<=ell} sum_{p<=X} r(p)^j p^-sigma (strip L target)."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_positive("ell", ell)
     ps, rv = _support(kernel)
     if len(ps) == 0:
         return 0.0
@@ -321,8 +288,7 @@ def bound_prime_sum(kernel: SigmaKernel, ell: int) -> float:
 
 def p_j(kernel: ResonanceKernel, j: int) -> float:
     """P_j = sum_{p<=X} (log p / p^sigma) r(p)^j, the per-factor bound piece."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    require_positive("j", j)
     ps, rv = _support(kernel)
     if len(ps) == 0:
         return 0.0
@@ -333,8 +299,7 @@ def p_j(kernel: ResonanceKernel, j: int) -> float:
 
 def bound_logderiv_product(kernel: ResonanceKernel, ell: int) -> float:
     """prod_{j<=ell} P_j, the logderiv-target ratio bound at the kernel's sigma."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    require_positive("ell", ell)
     out = 1.0
     for j in range(1, ell + 1):
         out *= p_j(kernel, j)
@@ -344,17 +309,13 @@ def bound_logderiv_product(kernel: ResonanceKernel, ell: int) -> float:
 def p_j_linear_asymptotic(x: float, j: int, prime_constant: float) -> float:
     """Large-X form of P_j for the linear kernel:
     log X - gamma - sum_p log p/(p(p-1)) - H_j."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    harmonic_j = math.fsum(1.0 / k for k in range(1, j + 1))
-    return math.log(x) - EULER_GAMMA - prime_constant - harmonic_j
+    return math.log(x) - EULER_GAMMA - prime_constant - harmonic(j)
 
 
 def p_j_sigma_asymptotic(kernel: SigmaKernel, j: int) -> float:
     """Large-X form of P_j for the sigma kernel:
     X^(1-sigma)/(1-sigma) * j! * prod_{m<j} (m + 1/sigma)^-1."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    require_positive("j", j)
     s = kernel.sigma
     denom = 1.0
     for m in range(j):

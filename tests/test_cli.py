@@ -201,6 +201,42 @@ class TestOracleCommand:
         assert "oracle error: " in err and "cutoff" in err
 
 
+class TestInputErrorsExitTwo:
+    """Invalid input and unreadable or unwritable files end with exit status
+    2 and one error line (after argparse's usage line), never a traceback."""
+
+    CONFIG = '{"theorem": 1, "q": 101, "x": 20.0, "y": 1000}'
+
+    @pytest.mark.parametrize("argv,expect", [
+        (["constants", "--ell", "0"], "ell must be >= 1, got 0"),
+        (["run", "{dir}/neg_x.json"], "X must be > 0, got -5"),
+        (["run", "{dir}/margin.json"], "endpoint_margin"),
+        (["run", "{dir}/missing.json"], "{dir}/missing.json"),
+        (["run", "{dir}/ok.json", "--output", "{dir}/ok.json/out"], "{dir}/ok.json/out"),
+        (["sweep", "--theorem", "1", "--primes", "100..104", "--output", "{dir}/ok.json/out"],
+         "{dir}/ok.json/out"),
+        (["oracle", "--q", "5", "--Y", "100", "--output", "{dir}/ok.json/out"],
+         "{dir}/ok.json/out"),
+        (["constants", "--ell", "1", "--output", "{dir}/no_dir/c.csv"], "{dir}/no_dir/c.csv"),
+    ], ids=["constants-ell-0", "x-negative", "theorem-3-margin-1.5", "missing-config",
+            "run-unwritable-output", "sweep-unwritable-output", "oracle-unwritable-output",
+            "constants-unwritable-output"])
+    def test_exit_two_with_one_error_line(self, tmp_path, capsys, argv, expect):
+        (tmp_path / "neg_x.json").write_text('{"theorem": 1, "q": 101, "x": -5}')
+        (tmp_path / "margin.json").write_text(
+            '{"theorem": 3, "q": 101, "endpoint_margin": 1.5}')
+        (tmp_path / "ok.json").write_text(self.CONFIG)
+        argv = [a.format(dir=tmp_path) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if not line.startswith("usage:")]
+        assert code == 2
+        assert len(lines) == 1 and expect.format(dir=tmp_path) in lines[0], err
+
+
 class TestVerifyCommand:
     def test_quick_battery(self, capsys):
         code, out, _ = run_cli(["verify", "--quick"], capsys)

@@ -26,6 +26,7 @@ from dirichlet_resonance.constants import (
     strip_logderiv_inequality_slack,
     strip_logderiv_poly_params,
 )
+from dirichlet_resonance.experiments import ConfigError, ExperimentConfig
 
 SIGMA_GRID = [0.51 + 0.024 * i for i in range(20)]
 
@@ -251,6 +252,28 @@ class TestStripPolyParams:
     def test_boundary_is_empty(self):
         with pytest.raises(ValueError):
             strip_logderiv_poly_params(0.75, 2)  # ell = 1/(2 - 2 sigma) exactly
+
+    def test_same_verdict_as_validated(self):
+        # one rule: a theorem-4 config validates exactly when (omega, beta)
+        # exist, including at the snapped integer limits (0.75 -> 2, 0.9 -> 5)
+        # and just beside them (0.750000000375: limit 2.000000003)
+        sigmas = [0.51 + 0.02 * i for i in range(25)] + [
+            0.75, 0.9, 5.0 / 6.0, 0.875, 11.0 / 12.0,
+            0.750000000375, 0.749999999625, 0.9000000001, 0.8999999999,
+        ]
+        for sigma in sigmas:
+            for ell in range(1, 7):
+                try:
+                    ExperimentConfig(4, 101, ell, x=20.0, y=1000, sigma=sigma).validated()
+                    valid = True
+                except ConfigError:
+                    valid = False
+                try:
+                    omega, beta = strip_logderiv_poly_params(sigma, ell)
+                    has_params = math.isfinite(omega) and math.isfinite(beta) and beta > 1.0
+                except ValueError:
+                    has_params = False
+                assert valid == has_params, (sigma, ell)
 
     def test_ell_one_interval(self):
         omega, beta_min = strip_logderiv_poly_params(0.8, 1)

@@ -27,6 +27,7 @@ from dirichlet_resonance.experiments import (
 )
 from dirichlet_resonance.lfunctions import (
     EULER_GAMMA,
+    exact_l,
     logderiv_poly_all,
     truncated_l,
     truncated_l_all,
@@ -69,6 +70,18 @@ class TestDefaultX:
         assert default_x(2, 101, sigma=0.75) > 0
         assert default_x(4, 101, sigma=0.9) > 0
 
+    @pytest.mark.parametrize("theorem,sigma", [(2, 0.75), (3, None), (4, 0.9)])
+    @pytest.mark.parametrize("margin", [1.0, 1.5])
+    def test_margin_that_leaves_no_positive_x_rejected(self, theorem, sigma, margin):
+        # X scales with 1 - margin for theorems 2-4
+        with pytest.raises(ValueError, match="endpoint_margin"):
+            default_x(theorem, 101, margin, sigma)
+
+    def test_theorem_1_keeps_a_positive_x_at_large_margin(self):
+        assert default_x(1, 101, 1.5) > 0
+        report = run_theorem(ExperimentConfig(1, 101, 1, endpoint_margin=1.5))
+        assert report.x > 0 and report.passed, report.failures
+
 
 class TestConfigValidation:
     def test_minimal_fills_defaults(self):
@@ -92,6 +105,17 @@ class TestConfigValidation:
             ExperimentConfig(2, 101, 1, x=20.0, y=1000).validated()
         with pytest.raises(ConfigError, match="takes no sigma"):
             ExperimentConfig(1, 101, 1, x=20.0, y=1000, sigma=0.75).validated()
+
+    @pytest.mark.parametrize("x", [0, 0.0, -5, -5.0])
+    def test_x_must_be_positive(self, x):
+        with pytest.raises(ConfigError, match="X must be > 0"):
+            ExperimentConfig(1, 101, 1, x=x, y=1000).validated()
+
+    @pytest.mark.parametrize("theorem,sigma", [(3, None), (4, 0.9)])
+    def test_derived_x_must_be_positive(self, theorem, sigma):
+        # a factor 1 - 1.5 would put X at -2.55 (theorem 3) and -1.95 (theorem 4)
+        with pytest.raises(ConfigError, match="endpoint_margin"):
+            ExperimentConfig(theorem, 101, 1, sigma=sigma, endpoint_margin=1.5).validated()
 
     def test_q_must_be_odd_prime(self):
         with pytest.raises(ConfigError):
@@ -333,6 +357,17 @@ class TestReferenceNeverServesTheFastPath:
         monkeypatch.setattr(CharacterGroup, "root_table", property(reference_only))
         report = run_theorem(ExperimentConfig(theorem, 1009, 2, x=20.0, y=2000, sigma=sigma))
         assert report.passed, report.failures
+
+    @pytest.mark.parametrize("theorem,sigma", [(1, None), (2, 0.75)])
+    def test_oracle_gap_checks_the_reported_vector(self, theorem, sigma):
+        # the gap compares the oracle with the fast path's own base value at
+        # the argmax, the vector max_value is built from
+        report = run_theorem(ExperimentConfig(theorem, 101, 1, x=20.0, y=1000, sigma=sigma))
+        group = CharacterGroup(101)
+        s = 1.0 if sigma is None else sigma
+        base = truncated_l_all(group, s, 1000)[report.argmax_index]
+        exact = exact_l(group.character(report.argmax_index), s).value
+        assert report.oracle_gap == abs(base - exact) / abs(exact)
 
 
 class TestDeterminism:
