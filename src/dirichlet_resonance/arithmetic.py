@@ -11,6 +11,7 @@ concurrent tasks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -205,13 +206,19 @@ def primitive_root(q: int) -> int:
 
 
 def build_dlog(q: int) -> DiscreteLogTable:
-    """Discrete-log table for (Z/qZ)*, built by iterating powers of g."""
-    g = primitive_root(q)
+    """Discrete-log table for (Z/qZ)*, from baby steps g^j and giant steps
+    g^(ib), b = isqrt(q-1) + 1: one int64 outer product mod q lists every power
+    g^(ib+j) in exponent order.  Residue products stay below q^2, so
+    q >= 3,037,000,500 raises PrecisionError before anything is allocated."""
+    if q >= 3_037_000_500:
+        raise PrecisionError(f"q = {q} must be below 3037000500 for the int64 dlog table")
+    g, n = primitive_root(q), q - 1
+    b = math.isqrt(n) + 1
+    baby = list(itertools.accumulate(range(b), lambda acc, _: acc * g % q, initial=1))
+    giant = itertools.accumulate(range((n - 1) // b), lambda acc, _: acc * baby[b] % q, initial=1)
+    powers = np.outer(list(giant), baby[:b]).ravel()[:n] % q
     table = np.full(q, -1, dtype=np.int64)
-    acc = 1
-    for k in range(q - 1):
-        table[acc] = k
-        acc = (acc * g) % q
+    table[powers] = np.arange(n)
     return DiscreteLogTable(q, g, table)
 
 

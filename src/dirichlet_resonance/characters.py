@@ -8,8 +8,9 @@ accumulates.  The root table is built so that entry q-1-k is the exact
 bitwise conjugate of entry k, which makes conjugate characters evaluate to
 exact conjugates.  ``power_reduce`` indexes every power family chi^j.
 
-Groups are immutable after construction; parallel iteration over the
-character index range is the intended parallelism axis everywhere else.
+Groups are immutable but for ``stored``, which keeps each whole-group vector
+read-only for the group's lifetime; parallel iteration over the character
+index range is the intended parallelism axis everywhere else.
 """
 
 from __future__ import annotations
@@ -30,12 +31,21 @@ __all__ = [
 ]
 
 class CharacterGroup:
-    """All q-1 Dirichlet characters mod the odd prime q."""
+    """All q-1 Dirichlet characters mod the odd prime q, with their stored vectors."""
 
     def __init__(self, q: int):
         self.dlog: DiscreteLogTable = build_dlog(q)  # validates q
         self.q = q
         self.order = q - 1
+        self._vectors: dict[tuple, np.ndarray] = {}
+
+    def stored(self, compute, *args) -> np.ndarray:
+        """compute(self, *args), computed once per validated argument tuple, read-only."""
+        key = (compute, *args)
+        if key not in self._vectors:
+            self._vectors[key] = compute(self, *args)
+            self._vectors[key].setflags(write=False)
+        return self._vectors[key]
 
     @functools.cached_property
     def root_table(self) -> np.ndarray:

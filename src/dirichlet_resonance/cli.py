@@ -92,13 +92,6 @@ _CONST_COLUMNS = {
 
 
 def _cmd_constants(args, parser) -> int:
-    try:
-        for ell in args.ell:
-            require_positive("ell", ell)
-        for sigma in args.sigma:
-            con.require_strip_sigma(sigma)
-    except ValueError as err:
-        parser.error(str(err))
     if args.columns is None:
         cols = [c for c, (needs_sigma, _) in _CONST_COLUMNS.items()
                 if args.sigma or not needs_sigma]
@@ -112,12 +105,19 @@ def _cmd_constants(args, parser) -> int:
 
     sigmas = args.sigma or [None]
     rows = []
-    for ell in args.ell:
-        for sigma in sigmas:
-            row = {"ell": ell, "sigma": "" if sigma is None else f"{sigma:g}"}
-            # without --sigma, cols holds no sigma-dependent column
-            row.update((c, _CONST_COLUMNS[c][1](ell, sigma)) for c in cols)
-            rows.append(row)
+    try:  # an input rule, or a constant that over- or underflows
+        for ell in args.ell:
+            require_positive("ell", ell)
+        for sigma in args.sigma:
+            con.require_strip_sigma(sigma)
+        for ell in args.ell:
+            for sigma in sigmas:
+                row = {"ell": ell, "sigma": "" if sigma is None else f"{sigma:g}"}
+                # without --sigma, cols holds no sigma-dependent column
+                row.update((c, _CONST_COLUMNS[c][1](ell, sigma)) for c in cols)
+                rows.append(row)
+    except ValueError as err:
+        parser.error(str(err))
 
     header = ["ell", "sigma"] + list(cols)
     widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in header}

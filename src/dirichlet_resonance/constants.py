@@ -12,8 +12,8 @@ Naming maps the targets to their constants:
 
 "log_2" in the sources is the iterated logarithm, so the additive constant
 in C(ell) is log log 4 ~ 0.3266 (the printed check value ~1.33 for ell = 1
-forces this reading).  Binomial coefficients come from math.comb, which is
-exact at every size.
+forces this reading).  S is evaluated in closed form (its printed alternating
+sum, ``_alt``, cancels from ell ~ 30); over- or underflow raises ValueError.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ __all__ = [
     "joint_logderiv_line_constant",
     "joint_logderiv_line_coefficient",
     "joint_logderiv_strip_constant",
+    "factorial_ratio",
+    "require_finite",
     "resonator_mass_integral",
     "strip_l_inequality_slack",
     "strip_logderiv_inequality_slack",
@@ -122,13 +124,15 @@ def joint_l_line_constant(ell: int) -> float:
 
 def joint_l_strip_constant(sigma: float, ell: int) -> float:
     """S(sigma, ell) = ell/(1-sigma)
-    + sum_{m=1}^{ell} (-1)^m C(ell+1, m+1) / (1 + sigma (m-1))."""
+    + sum_{m=1}^{ell} (-1)^m C(ell+1, m+1) / (1 + sigma (m-1)), evaluated as
+    -1/(1-sigma) - expm1(-sum_{k<=ell+1} log1p(a/k)) / (1 - 2 sigma), a = (1-2 sigma)/sigma,
+    by the Beta integral sum_{k<=n} (-1)^k C(n,k)/(k + a) = B(a, n + 1)."""
     require_strip_sigma(sigma)
     require_positive("ell", ell)
-    terms = [ell / (1.0 - sigma)]
-    for m in range(1, ell + 1):
-        terms.append((-1) ** m * math.comb(ell + 1, m + 1) / (1.0 + sigma * (m - 1)))
-    return math.fsum(terms)
+    a = (1.0 - 2.0 * sigma) / sigma
+    log_prod = math.fsum(math.log1p(a / k) for k in range(1, ell + 2))
+    value = -1.0 / (1.0 - sigma) - math.expm1(-log_prod) / (1.0 - 2.0 * sigma)
+    return require_finite(f"S(sigma={sigma}, ell={ell})", value)
 
 
 def joint_l_strip_constant_alt(sigma: float, ell: int) -> float:
@@ -159,13 +163,21 @@ def joint_logderiv_strip_constant(sigma: float, ell: int) -> float:
     """H(sigma, ell) = prod_{j<=ell} ( j!/(1-sigma) * prod_{m<j} (m + 1/sigma)^-1 )."""
     require_strip_sigma(sigma)
     require_positive("ell", ell)
-    out = 1.0
-    for j in range(1, ell + 1):
-        denom = 1.0
-        for m in range(j):
-            denom *= m + 1.0 / sigma
-        out *= math.factorial(j) / (1.0 - sigma) / denom
-    return out
+    out = math.prod(factorial_ratio(sigma, j) / (1.0 - sigma) for j in range(1, ell + 1))
+    return require_finite(f"H(sigma={sigma}, ell={ell})", out)
+
+
+def factorial_ratio(sigma: float, j: int) -> float:
+    """j! / prod_{m<j} (m + 1/sigma), as a running product whose factors
+    (m + 1)/(m + 1/sigma) never overflow."""
+    return math.prod((m + 1.0) / (m + 1.0 / sigma) for m in range(j))
+
+
+def require_finite(label: str, value: float) -> float:
+    """value, or ValueError when it over- or underflowed past a normal double."""
+    if not 2.0**-1022 <= abs(value) < math.inf:
+        raise ValueError(f"{label} = {value} is not a finite normal double")
+    return value
 
 
 def resonator_mass_integral(sigma: float, tolerance: float = 1e-10) -> float:

@@ -172,7 +172,7 @@ def _dlog_transform(group: CharacterGroup, exponents: np.ndarray,
 
 
 def truncated_l_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
-    """L(sigma, chi_k; y) for every character index k at once.
+    """L(sigma, chi_k; y) for every character index k, stored read-only on the group.
 
     log L is the sum over primes of -log(1 - z) = sum_m z^m / m with
     z = chi(p) p^-sigma, so term m of prime p lands on exponent
@@ -183,6 +183,10 @@ def truncated_l_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
     """
     _check_sigma(sigma)
     _check_cutoff(y)
+    return group.stored(_truncated_l_vector, sigma, y)
+
+
+def _truncated_l_vector(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
     ps = primes_up_to(y)
     ps = ps[ps != group.q]
     a = ps.astype(np.float64) ** (-sigma)
@@ -194,9 +198,13 @@ def truncated_l_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
 
 
 def prime_sum_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
-    """sum_{p <= y, p != q} chi_k(p) p^-sigma for every character index k."""
+    """sum_{p <= y, p != q} chi_k(p) p^-sigma for every k (stored, read-only)."""
     _check_sigma(sigma)
     _check_cutoff(y)
+    return group.stored(_prime_sum_vector, sigma, y)
+
+
+def _prime_sum_vector(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
     ps = primes_up_to(y)
     ps = ps[ps != group.q]
     w = ps.astype(np.float64) ** (-sigma)
@@ -204,9 +212,13 @@ def prime_sum_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
 
 
 def logderiv_poly_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
-    """The -L'/L polynomial sum_{n <= y} Lambda(n) chi_k(n) n^-sigma, all k."""
+    """The -L'/L polynomial sum_{n <= y} Lambda(n) chi_k(n) n^-sigma, all k (stored)."""
     _check_sigma(sigma)
     _check_cutoff(y)
+    return group.stored(_logderiv_poly_vector, sigma, y)
+
+
+def _logderiv_poly_vector(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
     ns, logps = prime_powers_up_to(y)
     keep = ns % group.q != 0  # chi(n) = 0 there anyway
     ns, logps = ns[keep], logps[keep]

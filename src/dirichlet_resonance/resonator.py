@@ -45,7 +45,8 @@ import numpy as np
 
 from .arithmetic import harmonic, primes_up_to, require_positive
 from .characters import Character, CharacterGroup, power_reduce
-from .constants import max_ell_for_sigma, require_strip_ell, require_strip_sigma
+from .constants import (factorial_ratio, max_ell_for_sigma, require_finite,
+                        require_strip_ell, require_strip_sigma)
 from .lfunctions import (
     EULER_GAMMA,
     logderiv_poly_all,
@@ -140,7 +141,7 @@ def resonator_sq(chi: Character, kernel: ResonanceKernel) -> float:
 
 
 def resonator_sq_all(group: CharacterGroup, kernel: ResonanceKernel) -> np.ndarray:
-    """|R(chi_k)|^2 for every character index k, in real arithmetic.
+    """|R(chi_k)|^2 for every character index k, in real arithmetic (stored, read-only).
 
     With chi_k(p) = e^{i theta}, theta = 2 pi k dlog(p)/N and N = q - 1,
     each factor is |1 - r e^{i theta}|^2 = (1 - r)^2 + 4 r sin^2(theta/2).
@@ -148,6 +149,10 @@ def resonator_sq_all(group: CharacterGroup, kernel: ResonanceKernel) -> np.ndarr
     tabulated for e <= N/2 and mirrored, so sin2[N - e] == sin2[e] bitwise
     and conjugate characters get bitwise-equal weights.
     """
+    return group.stored(_resonator_sq_vector, kernel)
+
+
+def _resonator_sq_vector(group: CharacterGroup, kernel: ResonanceKernel) -> np.ndarray:
     ps, rv = _support(kernel, exclude_q=group.q)
     order = group.order
     if len(ps) == 0:
@@ -158,7 +163,12 @@ def resonator_sq_all(group: CharacterGroup, kernel: ResonanceKernel) -> np.ndarr
     sin2[half + 1 :] = sin2[1 : order - half][::-1]
     d = group.dlog.dlog[ps % group.q]
     ks = np.arange(order, dtype=np.int64)
-    factors = sin2[(d[:, None] * ks[None, :]) % order]  # prime-major
+    e = d[:, None] * ks[None, :]  # prime-major
+    t = e // order  # e mod N, in place: numpy's scalar // is far faster than %
+    t *= order
+    e -= t
+    del t  # at most two P x N arrays are ever alive
+    factors = sin2[e]
     factors *= (4.0 * rv)[:, None]
     factors += ((1.0 - rv) ** 2)[:, None]
     return 1.0 / np.prod(factors, axis=0)
@@ -317,7 +327,5 @@ def p_j_sigma_asymptotic(kernel: SigmaKernel, j: int) -> float:
     X^(1-sigma)/(1-sigma) * j! * prod_{m<j} (m + 1/sigma)^-1."""
     require_positive("j", j)
     s = kernel.sigma
-    denom = 1.0
-    for m in range(j):
-        denom *= m + 1.0 / s
-    return kernel.x ** (1.0 - s) / (1.0 - s) * math.factorial(j) / denom
+    value = kernel.x ** (1.0 - s) / (1.0 - s) * factorial_ratio(s, j)
+    return require_finite(f"asymptotic P_{j}(X={kernel.x}, sigma={s})", value)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirichlet_resonance import arithmetic
 from dirichlet_resonance.arithmetic import (
     PrecisionError,
     build_dlog,
     enumerate_smooth,
     harmonic,
+    is_prime,
     mertens_product,
     prime_power_tail_constant,
     primitive_root,
@@ -125,12 +127,28 @@ class TestDiscreteLog:
         t5 = build_dlog(5)
         assert t5.of(4) == 2  # 2^2 = 4
 
-    def test_bijection_all_primes_to_1000(self):
-        for q in trial_division_primes(1000)[1:]:
+    def test_inverts_powers_of_g(self):
+        # pow is the independent reference below 2000 and at 10007
+        for q in trial_division_primes(2000)[1:] + [10007]:
             t = build_dlog(q)
-            exponents = sorted(int(t.dlog[a]) for a in range(1, q))
-            assert exponents == list(range(q - 1))
-            assert t.of(t.g) == 1
+            assert t.dlog.dtype == np.int64 and t.dlog[0] == -1
+            assert all(pow(t.g, k, q) == a for a, k in enumerate(t.dlog.tolist()[1:], 1))
+        # at 1000003 the reference is the q-step power loop
+        q = 1000003
+        t = build_dlog(q)
+        ref = [-1] * q
+        acc = 1
+        for k in range(q - 1):
+            ref[acc] = k
+            acc = acc * t.g % q
+        assert t.dlog.tolist() == ref
+
+    def test_int64_bound_raises_before_allocating(self, monkeypatch):
+        q = 3_037_000_507  # the first prime above the bound
+        assert is_prime(q)
+        monkeypatch.setattr(arithmetic, "np", None)  # any array use would raise AttributeError
+        with pytest.raises(PrecisionError, match="3037000500"):
+            build_dlog(q)
 
     def test_zero_class_rejected(self):
         t = build_dlog(11)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from dirichlet_resonance.constants import (
     joint_logderiv_line_coefficient,
     joint_logderiv_line_constant,
     joint_logderiv_strip_constant,
+    require_finite,
     resonator_mass_integral,
     strip_l_admissible_range,
     strip_l_inequality_slack,
@@ -64,6 +66,20 @@ class TestStripLConstant:
             b = joint_l_strip_constant_alt(sigma, ell)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.51, 0.6, 0.75, 0.9, 0.999])
+    @pytest.mark.parametrize("ell", [1, 10, 40, 60, 100, 200])
+    def test_matches_exact_rationals_at_large_ell(self, sigma, ell):
+        # the printed alternating sum, in exact arithmetic on the double sigma
+        s = Fraction(sigma)
+        exact = ell / (1 - s) + sum((-1) ** m * math.comb(ell + 1, m + 1) / (1 + s * (m - 1))
+                                    for m in range(1, ell + 1))
+        got = joint_l_strip_constant(sigma, ell)
+        assert abs(Fraction(got) - exact) <= 1e-13 * abs(exact)
+
+    def test_finite_far_past_float_binomials(self):
+        # math.comb(1101, m) overflows a float; the closed form never forms it
+        assert math.isfinite(joint_l_strip_constant(0.75, 1100))
+
 
 class TestLineLogderivConstant:
     def test_coefficient_band(self):
@@ -95,6 +111,16 @@ class TestStripLogderivConstant:
     def test_two_factor_arithmetic(self):
         # sigma = 3/4, ell = 2: 3 * 18/7 = 54/7
         assert joint_logderiv_strip_constant(0.75, 2) == pytest.approx(54.0 / 7.0, rel=1e-13)
+
+    def test_large_ell_stays_finite_or_raises(self):
+        # j! overflows a float from j = 171; the running product never forms it
+        h170, h171 = (joint_logderiv_strip_constant(0.75, ell) for ell in (170, 171))
+        assert h171 == pytest.approx(h170 * math.exp(
+            math.lgamma(172) - math.lgamma(171 + 4 / 3) + math.lgamma(4 / 3)) / 0.25, rel=1e-11)
+        with pytest.raises(ValueError, match="not a finite normal double"):
+            joint_logderiv_strip_constant(0.75, 1100)  # underflows
+        with pytest.raises(ValueError, match="not a finite normal double"):
+            require_finite("x", math.inf)
 
     def test_growth_trend_toward_sigma_1(self):
         # log H(sigma, 5) / (-5 log(1 - sigma)) approaches 1 from inside [0.5, 1.5]

@@ -3,13 +3,14 @@
 import csv
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_resonance import experiments
+from dirichlet_resonance import experiments, lfunctions, resonator
 from dirichlet_resonance.arithmetic import primes_up_to
 from dirichlet_resonance.characters import CharacterGroup, power_reduce
 from dirichlet_resonance.experiments import (
@@ -29,6 +30,7 @@ from dirichlet_resonance.lfunctions import (
     EULER_GAMMA,
     exact_l,
     logderiv_poly_all,
+    prime_sum_all,
     truncated_l,
     truncated_l_all,
 )
@@ -37,6 +39,7 @@ from dirichlet_resonance.resonator import (
     SigmaKernel,
     bound_l_product,
     resonator_sq,
+    resonator_sq_all,
     s2_terms,
 )
 
@@ -368,6 +371,50 @@ class TestReferenceNeverServesTheFastPath:
         base = truncated_l_all(group, s, 1000)[report.argmax_index]
         exact = exact_l(group.character(report.argmax_index), s).value
         assert report.oracle_gap == abs(base - exact) / abs(exact)
+
+
+class TestWholeGroupVectorsComputedOnce:
+    """A run computes each whole-group vector once; its group hands the
+    stored, read-only array to every later caller with the same arguments."""
+
+    COMPUTES = {"L": (lfunctions, "_truncated_l_vector"), "P": (lfunctions, "_prime_sum_vector"),
+                "D": (lfunctions, "_logderiv_poly_vector"),
+                "rsq": (resonator, "_resonator_sq_vector")}
+
+    @pytest.mark.parametrize("theorem,sigma,computed", [
+        (1, None, {"L": 1, "rsq": 1}), (2, 0.9, {"P": 1, "L": 1, "rsq": 1}),
+        (3, None, {"D": 1, "rsq": 1}), (4, 0.9, {"D": 1, "rsq": 1}),
+    ])
+    def test_each_vector_once_per_run(self, monkeypatch, theorem, sigma, computed):
+        counts = Counter()
+        for tag, (module, name) in self.COMPUTES.items():
+            def counted(*args, tag=tag, compute=getattr(module, name)):
+                counts[tag] += 1
+                return compute(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        report = run_theorem(ExperimentConfig(theorem, 101, 2, x=20.0, y=1000, sigma=sigma))
+        assert report.passed, report.failures
+        assert counts == computed
+
+    def test_stored_arrays_are_read_only_and_keyed_by_every_argument(self):
+        group = CharacterGroup(101)
+        base = truncated_l_all(group, 0.75, 1000)
+        assert truncated_l_all(group, 0.75, 1000) is base
+        with pytest.raises(ValueError, match="read-only"):
+            base[0] = 0.0
+        for other in (truncated_l_all(group, 0.9, 1000), truncated_l_all(group, 0.75, 1001),
+                      prime_sum_all(group, 0.75, 1000), logderiv_poly_all(group, 0.75, 1000)):
+            assert other is not base
+        assert not np.array_equal(truncated_l_all(group, 0.9, 1000), base)
+        rsq = resonator_sq_all(group, LinearKernel(20.0))
+        assert resonator_sq_all(group, LinearKernel(20.0)) is rsq
+        assert not np.array_equal(resonator_sq_all(group, SigmaKernel(20.0, 0.9)), rsq)
+        with pytest.raises(ValueError, match="read-only"):
+            rsq[0] = 0.0
+        # the argument checks run before the lookup
+        with pytest.raises(ValueError, match="sigma"):
+            truncated_l_all(group, 1.5, 1000)
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Kernels, resonator weights, S1/S2, the congruence oracle, and the bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ class TestResonatorSq:
         ks = np.arange(group.order)
         assert np.array_equal(vec[(-ks) % group.order], vec)
         assert resonator_sq_all(CharacterGroup(q), kernel).tobytes() == vec.tobytes()
+
+
+def test_resonator_sq_all_peak_memory():
+    # at most two prime-major P x N arrays (indices, factors) plus O(N)
+    # tables; an out-of-place index reduction would hold a third
+    group = CharacterGroup(100003)
+    kernel = LinearKernel(40.0)
+    n_primes, order = len(primes_up_to(40)), group.order
+    assert n_primes == 12
+    tracemalloc.start()
+    try:
+        resonator_sq_all(group, kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * n_primes + 8) * order * 8
 
 
 class TestS1:
@@ -383,6 +400,12 @@ class TestBounds:
         for j in (1, 2, 3):
             ratio = p_j(kernel, j) / p_j_sigma_asymptotic(kernel, j)
             assert 0.85 < ratio < 1.15
+
+    def test_sigma_asymptotic_past_float_factorials(self):
+        # j! overflows a float from j = 171; the running product never forms it
+        kernel = SigmaKernel(50.0, 0.75)
+        step = p_j_sigma_asymptotic(kernel, 171) / p_j_sigma_asymptotic(kernel, 170)
+        assert step == pytest.approx(171 / (170 + 4 / 3), rel=1e-13)
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_bounds_non_decreasing_in_x(self, ell):
