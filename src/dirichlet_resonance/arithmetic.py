@@ -3,10 +3,10 @@ the resonance bounds are built from, plus the input rules every module
 shares: ``require_positive`` (counts) and ``require_odd_prime`` (the modulus).
 
 Everything here is exact integer combinatorics plus double-precision prime
-sums.  Long sums go through ``math.fsum`` (an error-free summation), so
-results are reproducible bit-for-bit across platforms and call orders.  All
-returned tables are immutable after construction and safe to share across
-concurrent tasks.
+sums.  Long sums are correctly rounded (``math.fsum``, or ``exact_sum`` for
+arrays), so results are reproducible bit-for-bit across platforms and call
+orders.  All returned tables are immutable after construction and safe to
+share across concurrent tasks.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "primes_up_to",
     "prime_powers_up_to",
     "is_prime",
+    "exact_sum",
     "require_positive",
     "require_odd_prime",
     "von_mangoldt",
@@ -116,25 +117,57 @@ def primes_up_to(limit: int) -> np.ndarray:
 def prime_powers_up_to(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """All prime powers n = p^k <= limit with their von Mangoldt weights.
 
-    Returns (n, log p) as parallel arrays sorted by n.  Do not mutate.
+    Returns (n, log p) as parallel arrays sorted by n.  Do not mutate.  The
+    primes with p^k <= limit are a prefix, so each power k is one product.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    ns: list[int] = []
-    ws: list[float] = []
-    for p in primes_up_to(limit):
-        p = int(p)
-        lp = math.log(p)
-        n = p
-        while n <= limit:
-            ns.append(n)
-            ws.append(lp)
-            n *= p
-    order = np.argsort(np.asarray(ns, dtype=np.int64), kind="stable")
-    return (
-        np.asarray(ns, dtype=np.int64)[order],
-        np.asarray(ws, dtype=np.float64)[order],
-    )
+    ps = primes_up_to(limit)
+    logs = np.fromiter(map(math.log, ps.tolist()), np.float64, len(ps))
+    ns, ws, power = [ps], [logs], ps
+    while True:
+        power = power * ps[: len(power)]
+        power = power[: np.searchsorted(power, limit, side="right")]
+        if not len(power):
+            break
+        ns.append(power)
+        ws.append(logs[: len(power)])
+    n = np.concatenate(ns)
+    order = np.argsort(n, kind="stable")
+    return n[order], np.concatenate(ws)[order]
+
+
+_EXACT_SUM_MIN = 1000  # math.fsum is faster below; both give the same double
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of a 1-D float64 array: the double
+    ``math.fsum`` returns, without building a list.
+
+    Each value is m 2^(e-27) with |m| < 2^27 (``np.frexp``).  The integer
+    parts of m and their 26-bit fractions are summed per exponent by
+    ``np.bincount``; below 2^26 terms every partial sum is exact.  The bins
+    form one Python int, rounded once by int division.  Short arrays, a nan
+    or inf, and magnitudes where fsum could overflow go to ``math.fsum``.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    n = len(x)
+    # a nan or inf fails the magnitude test, as does a sum that could overflow
+    if not (_EXACT_SUM_MIN <= n <= 2**26 and max(x.max(), -x.min()) < 2.0**1021 / n):
+        return math.fsum(x.tolist())
+    m, e = np.frexp(x)
+    m *= 2.0**27
+    whole = np.trunc(m)
+    m -= whole
+    base = int(e.min())
+    e -= base
+    hi = np.bincount(e, weights=whole)
+    lo = np.bincount(e, weights=m) * 2.0**26
+    k = np.flatnonzero((hi != 0) | (lo != 0))
+    total = sum((int(h) << 26) + int(l) << b
+                for b, h, l in zip(k.tolist(), hi[k].tolist(), lo[k].tolist()))
+    shift = base - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def is_prime(n: int) -> bool:

@@ -95,6 +95,7 @@ REPORT_COLUMNS = (
 _TIE_TOL = 1e-9
 _SLACK = 1e-12
 _ORACLE_MAX_Q = 499  # largest q the scalar Hurwitz/digamma oracle is run at
+_MIN_DEFAULT_X_Q = 17  # the first prime with loglog q > 1, so with a default X
 
 _TARGETS = {1: "l-product", 2: "prime-sum", 3: "logderiv-product", 4: "logderiv-product"}
 
@@ -181,8 +182,8 @@ def default_x(theorem: int, q: int, endpoint_margin: float = 0.01,
     """Resonator length X = (parameter) * log q * loglog q at the theorem's
     admissible endpoint, backed off by ``endpoint_margin`` (0 means the
     legal boundary itself, which is non-strict)."""
-    if q < 17:
-        raise ValueError(f"default X needs q >= 17 so that loglog q > 1; got {q}")
+    if q < _MIN_DEFAULT_X_Q:
+        raise ValueError(f"default X needs q >= {_MIN_DEFAULT_X_Q} so that loglog q > 1; got {q}")
     if endpoint_margin < 0 or (theorem in (2, 3, 4) and endpoint_margin >= 1):
         raise ValueError(f"endpoint_margin must be >= 0, and < 1 for theorems 2-4 "
                          f"(X scales with 1 - margin); got {endpoint_margin}")
@@ -482,6 +483,9 @@ def sweep(theorem: int, prime_range: tuple[int, int], ell: int = 1,
     qs = _primes_in_range(lo, hi)
     if not qs:
         raise ValueError(f"no odd primes in [{lo}, {hi}]")
+    if qs[0] < _MIN_DEFAULT_X_Q:
+        raise ValueError(f"primes {lo}..{hi} include q={qs[0]}; the first prime with a "
+                         f"default X is {_MIN_DEFAULT_X_Q}")
     configs = []
     for q in qs:
         x = default_x(theorem, q, endpoint_margin, sigma)

@@ -8,9 +8,9 @@ Truncated products are evaluated in log space,
 
 with each complex log on the principal branch; every factor satisfies
 |chi(p) p^-sigma| < 1, so no branch ambiguity can arise.  Scalar paths sum
-with math.fsum.  The whole-group vector paths evaluate every character at
-once as one real DFT over the discrete-log axis: the weights are bucketed by
-dlog(n) mod q-1 and transformed, so a sum over N terms costs
+correctly rounded (exact_sum).  The whole-group vector paths evaluate every
+character at once as one real DFT over the discrete-log axis: the weights are
+bucketed by dlog(n) mod q-1 and transformed, so a sum over N terms costs
 O(N + q log q).  For L(sigma, chi; Y) each log factor is expanded as
 sum_m chi(p)^m p^(-m sigma)/m and cut where its geometric tail falls below
 2^-53 |chi(p) p^-sigma|, so the dropped tails total at most
@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import PrecisionError, prime_powers_up_to, primes_up_to, require_positive
+from .arithmetic import (PrecisionError, exact_sum, prime_powers_up_to, primes_up_to,
+                         require_positive)
 from .characters import Character, CharacterGroup
 
 __all__ = [
@@ -94,7 +95,7 @@ def _check_cutoff(y: int) -> None:
 
 
 def _fsum_complex(arr: np.ndarray) -> complex:
-    return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
+    return complex(exact_sum(arr.real), exact_sum(arr.imag))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from typing import Union
 
 import numpy as np
 
-from .arithmetic import harmonic, primes_up_to, require_positive
+from .arithmetic import exact_sum, harmonic, primes_up_to, require_positive
 from .characters import Character, CharacterGroup, power_reduce
 from .constants import (factorial_ratio, max_ell_for_sigma, require_finite,
                         require_strip_ell, require_strip_sigma)
@@ -176,7 +176,7 @@ def _resonator_sq_vector(group: CharacterGroup, kernel: ResonanceKernel) -> np.n
 
 def s1(group: CharacterGroup, kernel: ResonanceKernel) -> float:
     """S1 = sum over all phi(q) characters of |R(chi)|^2; always >= phi(q)."""
-    return math.fsum(resonator_sq_all(group, kernel).tolist())
+    return exact_sum(resonator_sq_all(group, kernel))
 
 
 @dataclass(frozen=True)

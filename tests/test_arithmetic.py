@@ -1,6 +1,7 @@
 """Sieve, multiplicative tables, and prime-sum constants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from dirichlet_resonance.arithmetic import (
     PrecisionError,
     build_dlog,
     enumerate_smooth,
+    exact_sum,
     harmonic,
     is_prime,
     mertens_product,
     prime_power_tail_constant,
+    prime_powers_up_to,
     primitive_root,
     sieve_primes,
     von_mangoldt,
@@ -246,3 +249,128 @@ class TestMertensProduct:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             mertens_product(2)
+
+
+def loop_prime_powers(limit):
+    """The per-prime Python loop the vectorised table replaced."""
+    ns, ws = [], []
+    for p in arithmetic.primes_up_to(limit):
+        p = int(p)
+        lp = math.log(p)
+        n = p
+        while n <= limit:
+            ns.append(n)
+            ws.append(lp)
+            n *= p
+    order = np.argsort(np.asarray(ns, dtype=np.int64), kind="stable")
+    return np.asarray(ns, dtype=np.int64)[order], np.asarray(ws, dtype=np.float64)[order]
+
+
+class TestPrimePowersUpTo:
+    @pytest.mark.parametrize("limits", [range(3000), (10**4, 10**5 + 3, 10**6)],
+                             ids=["below-3000", "1e4-1e5+3-1e6"])
+    def test_matches_the_python_loop_bitwise(self, limits):
+        for limit in limits:
+            ns, ws = prime_powers_up_to.__wrapped__(limit)  # bypass the small cache
+            ref_ns, ref_ws = loop_prime_powers(limit)
+            assert ns.dtype == ref_ns.dtype and ws.dtype == ref_ws.dtype, limit
+            assert np.array_equal(ns, ref_ns), limit
+            assert np.array_equal(ws.view(np.int64), ref_ws.view(np.int64)), limit
+
+
+def same_double(a, b):
+    """Bitwise equality of two doubles: nan matches nan, and 0.0 and -0.0 differ."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1, a) == math.copysign(1, b)
+
+
+_CUT = arithmetic._EXACT_SUM_MIN
+_RNG = np.random.default_rng(20260)
+
+
+def _padded(head, n=_CUT + 1):
+    """``head`` followed by zeros up to length n, so the binned path runs."""
+    out = np.zeros(max(n, len(head)))
+    out[: len(head)] = head
+    return out
+
+
+def _shuffled(values):
+    out = np.asarray(values, dtype=np.float64).copy()
+    _RNG.shuffle(out)
+    return out
+
+
+def _adversarial(kind, n):
+    signs = _RNG.choice([-1.0, 1.0], n)
+    if kind == "mixed-magnitudes":
+        return signs * 10.0 ** _RNG.uniform(-300, 300, n)
+    if kind == "subnormals":
+        return signs * _RNG.integers(1, 2**52, n) * 2.0**-1074
+    if kind == "mirrored":
+        half = 10.0 ** _RNG.uniform(-20, 20, n // 2)
+        return _shuffled(np.concatenate([half, -half, [2.0**-1074] * (n % 2)]))
+    if kind == "cancellation":
+        big = _RNG.uniform(1e15, 1e16, n // 2)
+        near = -big + _RNG.uniform(-1, 1, n // 2)
+        return _shuffled(np.concatenate([big, near, [1e-30] * (n % 2)]))
+    return signs * np.exp(_RNG.normal(0, 5, n))
+
+
+class TestExactSum:
+    """exact_sum returns the correctly rounded sum, the double math.fsum gives,
+    on both sides of its math.fsum cut-off."""
+
+    @pytest.mark.parametrize("values", [
+        _padded([1.0, 2.0**-53]),  # a half-ulp tie rounds to even: 1.0
+        _padded([1.0 + 2.0**-52, 2.0**-53]),  # ... and here up
+        _padded([1.0] + [2.0**-63] * 1024),  # a tie built from many pieces
+        _padded([1.0] + [2.0**-63] * 1024 + [2.0**-1074]),  # a sticky bit breaks it
+        _padded([-1.0, -(2.0**-53)]),
+        _padded([2.0**1000, 1.0, -(2.0**1000)]),  # full cancellation of a huge term
+        _shuffled(np.concatenate([np.arange(1.0, 1501.0), -np.arange(1.0, 1501.0)])),
+        np.zeros(_CUT + 1), -np.zeros(_CUT + 1), _padded([-0.0, 0.0, -0.0]),
+        _padded([2.0**-1074] * 3), _padded([-(2.0**-1022), 2.0**-1074]),
+        _padded([1e300, 1e-300, -1e300, 1e-300]),
+        _padded([math.ulp(1.0) / 2] * 2000 + [1.0], n=2001),
+    ], ids=["tie-even-down", "tie-even-up", "tie-many-pieces", "tie-sticky", "negative-tie",
+            "cancel-huge", "cancel-mirrored", "zeros", "negative-zeros", "mixed-zeros",
+            "subnormal", "subnormal-normal-edge", "cancel-1e300", "ulp-halves"])
+    def test_hand_cases(self, values):
+        want = math.fsum(values.tolist())
+        assert same_double(exact_sum(values), want)
+        assert same_double(float(sum(map(Fraction, values.tolist()))), want)
+
+    @pytest.mark.parametrize("n", [0, 1, _CUT - 1, _CUT, _CUT + 1, 5000])
+    @pytest.mark.parametrize("kind", ["mixed-magnitudes", "subnormals", "mirrored",
+                                      "cancellation", "lognormal"])
+    def test_adversarial_arrays_match_fsum_and_fractions(self, kind, n):
+        for _ in range(4):
+            values = _adversarial(kind, n)
+            got = exact_sum(values)
+            assert same_double(got, math.fsum(values.tolist())), (kind, n)
+            assert same_double(got, float(sum(map(Fraction, values.tolist())))), (kind, n)
+
+    @pytest.mark.parametrize("kind", ["mixed-magnitudes", "subnormals", "lognormal"])
+    def test_a_million_terms_match_fsum(self, kind):
+        values = _adversarial(kind, 10**6)
+        assert same_double(exact_sum(values), math.fsum(values.tolist()))
+
+    def test_views_and_lists_are_accepted(self):
+        z = _RNG.normal(size=3000) + 1j * _RNG.normal(size=3000)
+        for part in (z.real, z.imag, z.real[::3]):
+            assert same_double(exact_sum(part), math.fsum(part.tolist()))
+        assert same_double(exact_sum([0.1] * 2000), math.fsum([0.1] * 2000))
+
+    @pytest.mark.parametrize("n", [3, _CUT + 1])
+    def test_non_finite_values_behave_as_in_fsum(self, n):
+        assert math.isnan(exact_sum(_padded([1.0, math.nan], n)))
+        assert exact_sum(_padded([1.0, math.inf], n)) == math.inf
+        assert exact_sum(_padded([1.0, -math.inf], n)) == -math.inf
+        for values in (_padded([math.inf, -math.inf], n), _padded([1e308] * 3, n),
+                       _padded([-1.7e308, -1.7e308], n)):
+            with pytest.raises(Exception) as fsum_err:
+                math.fsum(values.tolist())
+            with pytest.raises(fsum_err.type):
+                exact_sum(values)

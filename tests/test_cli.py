@@ -220,9 +220,11 @@ class TestInputErrorsExitTwo:
         (["constants", "--ell", "1", "--output", "{dir}/no_dir/c.csv"], "{dir}/no_dir/c.csv"),
         (["constants", "--ell", "1100", "--sigma", "0.75", "--columns", "H"],
          "H(sigma=0.75, ell=1100) = 0.0 is not a finite normal double"),
+        (["sweep", "--theorem", "1", "--primes", "3..30", "--output", "{dir}/sweep"],
+         "primes 3..30 include q=3; the first prime with a default X is 17"),
     ], ids=["constants-ell-0", "x-negative", "theorem-3-margin-1.5", "missing-config",
             "run-unwritable-output", "sweep-unwritable-output", "oracle-unwritable-output",
-            "constants-unwritable-output", "constants-h-underflow"])
+            "constants-unwritable-output", "constants-h-underflow", "sweep-below-17"])
     def test_exit_two_with_one_error_line(self, tmp_path, capsys, argv, expect):
         (tmp_path / "neg_x.json").write_text('{"theorem": 1, "q": 101, "x": -5}')
         (tmp_path / "margin.json").write_text(

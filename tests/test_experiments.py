@@ -417,6 +417,24 @@ class TestWholeGroupVectorsComputedOnce:
             truncated_l_all(group, 1.5, 1000)
 
 
+class TestReportSumsAreCorrectlyRounded:
+    """S1 and S2 of a run are the math.fsum of the whole-group vectors, on
+    both sides of exact_sum's cut-off (q - 1 = 100, 1008, 10006)."""
+
+    @pytest.mark.parametrize("q", [101, 1009, 10007])
+    @pytest.mark.parametrize("theorem,sigma", [(1, None), (2, 0.9), (3, None), (4, 0.9)])
+    def test_s1_and_s2_equal_fsum_bitwise(self, theorem, sigma, q):
+        report = run_theorem(ExperimentConfig(theorem, q, 1, sigma=sigma))
+        cfg = ExperimentConfig(theorem, q, 1, sigma=sigma).validated()
+        kernel = LinearKernel(cfg.x) if theorem in (1, 3) else SigmaKernel(cfg.x, cfg.sigma)
+        group = CharacterGroup(q)
+        rsq = resonator_sq_all(group, kernel)
+        terms = s2_terms(group, experiments._TARGETS[theorem], 1, kernel, cfg.y)
+        assert report.s1.hex() == math.fsum(rsq.tolist()).hex()
+        assert report.s2.real.hex() == math.fsum(terms.real.tolist()).hex()
+        assert report.s2.imag.hex() == math.fsum(terms.imag.tolist()).hex()
+
+
 class TestDeterminism:
     def test_identical_config_identical_report(self):
         cfg = ExperimentConfig(3, 101, 2, x=20.0, y=1000)
