@@ -21,7 +21,7 @@ from dirichlet_resonance.experiments import (
     run_theorem,
     write_reports_csv,
 )
-from dirichlet_resonance.resonator import max_ell_for_sigma
+from dirichlet_resonance.constants import max_ell_for_sigma
 
 
 def main() -> int:

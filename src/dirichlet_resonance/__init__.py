@@ -7,7 +7,6 @@ from .arithmetic import (
     DiscreteLogTable,
     PrecisionError,
     PrimeTable,
-    SmoothSet,
     build_dlog,
     enumerate_smooth,
     harmonic,
@@ -16,7 +15,6 @@ from .arithmetic import (
     prime_power_tail_constant,
     primitive_root,
     sieve_primes,
-    von_mangoldt,
 )
 from .characters import (
     Character,
@@ -31,6 +29,7 @@ from .constants import (
     joint_l_strip_constant,
     joint_logderiv_line_constant,
     joint_logderiv_strip_constant,
+    max_ell_for_sigma,
     resonator_mass_integral,
     strip_l_admissible_range,
     strip_logderiv_admissible_range,
@@ -68,8 +67,6 @@ from .resonator import (
     bound_l_product,
     bound_logderiv_product,
     bound_prime_sum,
-    kernel_value,
-    max_ell_for_sigma,
     p_j,
     resonator_sq,
     s1,

@@ -1,12 +1,12 @@
-"""Prime sieving, multiplicative-function tables, and the classical prime sums
-the resonance bounds are built from, plus the input rules every module
-shares: ``require_positive`` (counts) and ``require_odd_prime`` (the modulus).
+"""Prime sieving, the prime-power table, discrete logs, smooth numbers and
+the classical prime sums the resonance bounds are built from, plus the input
+rules every module shares: ``require_positive`` and ``require_odd_prime``.
 
 Everything here is exact integer combinatorics plus double-precision prime
-sums.  Long sums are correctly rounded (``math.fsum``, or ``exact_sum`` for
-arrays), so results are reproducible bit-for-bit across platforms and call
-orders.  All returned tables are immutable after construction and safe to
-share across concurrent tasks.
+sums.  Long sums are correctly rounded (``math.fsum``, or ``exact_sum`` and
+``_fsum_complex`` for arrays), so results are reproducible bit-for-bit
+across platforms and call orders.  The cached prime and prime-power arrays
+are read-only, so every caller can share them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "PrecisionError",
     "PrimeTable",
     "DiscreteLogTable",
-    "SmoothSet",
     "sieve_primes",
     "primes_up_to",
     "prime_powers_up_to",
@@ -30,7 +29,6 @@ __all__ = [
     "exact_sum",
     "require_positive",
     "require_odd_prime",
-    "von_mangoldt",
     "primitive_root",
     "build_dlog",
     "enumerate_smooth",
@@ -49,10 +47,7 @@ class PrimeTable:
     """All primes up to ``limit``, strictly ascending."""
 
     limit: int
-    primes: np.ndarray  # int64, ascending
-
-    def __len__(self) -> int:
-        return len(self.primes)
+    primes: np.ndarray  # int64, ascending, read-only
 
 
 @dataclass(frozen=True)
@@ -74,18 +69,6 @@ class DiscreteLogTable:
         return int(self.dlog[r])
 
 
-@dataclass(frozen=True)
-class SmoothSet:
-    """All x-smooth integers up to ``cap``, ascending (1 is always smooth)."""
-
-    x: int
-    cap: int
-    members: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to ``limit`` inclusive.
 
@@ -98,7 +81,9 @@ def sieve_primes(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return PrimeTable(limit, np.nonzero(sieve)[0].astype(np.int64))
+    primes = np.nonzero(sieve)[0].astype(np.int64)
+    primes.setflags(write=False)
+    return PrimeTable(limit, primes)
 
 
 @lru_cache(maxsize=8)
@@ -107,7 +92,7 @@ def _primes_cached(limit: int) -> PrimeTable:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """Cached prime array for internal reuse.  Do not mutate the result."""
+    """Cached prime array for internal reuse, read-only."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     return _primes_cached(int(limit)).primes
@@ -117,12 +102,10 @@ def primes_up_to(limit: int) -> np.ndarray:
 def prime_powers_up_to(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """All prime powers n = p^k <= limit with their von Mangoldt weights.
 
-    Returns (n, log p) as parallel arrays sorted by n.  Do not mutate.  The
-    primes with p^k <= limit are a prefix, so each power k is one product.
+    Returns (n, log p) as read-only parallel arrays sorted by n.  The primes
+    with p^k <= limit are a prefix, so each power k is one product.
     """
-    if limit < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    ps = primes_up_to(limit)
+    ps = primes_up_to(limit)  # empty below 2, and so are both results
     logs = np.fromiter(map(math.log, ps.tolist()), np.float64, len(ps))
     ns, ws, power = [ps], [logs], ps
     while True:
@@ -134,7 +117,10 @@ def prime_powers_up_to(limit: int) -> tuple[np.ndarray, np.ndarray]:
         ws.append(logs[: len(power)])
     n = np.concatenate(ns)
     order = np.argsort(n, kind="stable")
-    return n[order], np.concatenate(ws)[order]
+    n, w = n[order], np.concatenate(ws)[order]
+    n.setflags(write=False)
+    w.setflags(write=False)
+    return n, w
 
 
 _EXACT_SUM_MIN = 1000  # math.fsum is faster below; both give the same double
@@ -170,6 +156,11 @@ def exact_sum(values: np.ndarray) -> float:
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
+def _fsum_complex(arr: np.ndarray) -> complex:
+    """``exact_sum`` of the real and the imaginary parts."""
+    return complex(exact_sum(arr.real), exact_sum(arr.imag))
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check (desk-scale n)."""
     if n < 2:
@@ -196,19 +187,6 @@ def require_odd_prime(q: int) -> None:
     """Raise ValueError unless q is an odd prime, the only moduli handled here."""
     if q < 3 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-
-
-def von_mangoldt(n: int) -> float:
-    """Lambda(n): log p if n = p^k for a prime p, else 0.  Natural-log units."""
-    require_positive("n", n)
-    if n == 1:
-        return 0.0
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return math.log(p) if n == 1 else 0.0
-    return math.log(n)  # n itself is prime
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -255,9 +233,10 @@ def build_dlog(q: int) -> DiscreteLogTable:
     return DiscreteLogTable(q, g, table)
 
 
-def enumerate_smooth(x: int, cap: int) -> SmoothSet:
-    """All x-smooth integers up to ``cap``, by depth-first search over prime
-    exponents (no filtering, so caps up to 1e9 stay cheap when x is small)."""
+def enumerate_smooth(x: int, cap: int) -> tuple[int, ...]:
+    """All x-smooth integers up to ``cap``, ascending (1 is always smooth), by
+    depth-first search over prime exponents (no filtering, so caps up to 1e9
+    stay cheap when x is small)."""
     if x < 2:
         raise ValueError(f"smoothness bound must be >= 2, got {x}")
     require_positive("cap", cap)
@@ -273,8 +252,7 @@ def enumerate_smooth(x: int, cap: int) -> SmoothSet:
             descend(j, nxt)
 
     descend(0, 1)
-    out.sort()
-    return SmoothSet(x, cap, tuple(out))
+    return tuple(sorted(out))
 
 
 def harmonic(j: int) -> float:

@@ -6,7 +6,8 @@ a in {0, ..., q-2}.  All evaluation is one integer multiplication mod q-1
 followed by a root-of-unity table lookup; no floating-point phase ever
 accumulates.  The root table is built so that entry q-1-k is the exact
 bitwise conjugate of entry k, which makes conjugate characters evaluate to
-exact conjugates.  ``power_reduce`` indexes every power family chi^j.
+exact conjugates.  ``power_reduce`` indexes every power family chi^j;
+``eligible`` is the one home of the resonance method's eligibility rule.
 
 Groups are immutable but for ``stored``, which keeps each whole-group vector
 read-only for the group's lifetime; parallel iteration over the character
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .arithmetic import DiscreteLogTable, build_dlog, require_positive
+from .arithmetic import DiscreteLogTable, _fsum_complex, build_dlog, require_positive
 
 __all__ = [
     "CharacterGroup",
@@ -67,9 +68,6 @@ class CharacterGroup:
     def character(self, index: int) -> "Character":
         return Character(self, index % self.order)
 
-    def characters(self):
-        return (Character(self, a) for a in range(self.order))
-
     # -- evaluation ---------------------------------------------------------
 
     def _gather(self, ks: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -82,14 +80,6 @@ class CharacterGroup:
         idx = (np.asarray(ks, dtype=np.int64)[:, None] * self.dlog.dlog[r[nz]]) % self.order
         out[:, nz] = self.root_table[idx]
         return out
-
-    def value(self, index: int, n: int) -> complex:
-        """chi_index(n) as an exact root of unity (0 when q | n)."""
-        return complex(self._gather([index], [n % self.q])[0, 0])
-
-    def value_row(self, index: int, ns: np.ndarray) -> np.ndarray:
-        """chi_index over an integer array."""
-        return self._gather([index], ns)[0]
 
     def values_matrix(self, ns: np.ndarray) -> np.ndarray:
         """Matrix M[k, i] = chi_k(ns[i]) over every character index k."""
@@ -109,10 +99,11 @@ class Character:
         self.index = index % group.order
 
     def __call__(self, n: int) -> complex:
-        return self.group.value(self.index, n)
+        """chi(n) as an exact root of unity (0 when q | n)."""
+        return complex(self.group._gather([self.index], [n % self.group.q])[0, 0])
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        return self.group.value_row(self.index, ns)
+        return self.group._gather([self.index], ns)[0]
 
     @property
     def is_principal(self) -> bool:
@@ -155,17 +146,19 @@ def power_reduce(vec: np.ndarray, ell: int, op) -> np.ndarray:
     return out
 
 
-def eligible(group: CharacterGroup, ell: int) -> np.ndarray:
-    """Boolean mask over character indices: True where ord(chi) > ell, so
-    chi^j is non-principal for every j in {1, ..., ell}.  All False (not an
-    error) when ell >= q-1.
+def eligible(group: CharacterGroup, ell: int, excluded: tuple[int, ...] = ()) -> np.ndarray:
+    """Boolean mask over character indices: True where no power chi^j,
+    j in {1, ..., ell}, is principal or one of the ``excluded`` indices
+    (taken mod q-1).  Without exclusions that is ord(chi) > ell.  All False
+    (not an error) when ell >= q-1.
 
     kj mod (q-1) is periodic in j with period q-1, so powers past q-1 mark
     nothing new and the family is cut there.
     """
     require_positive("ell", ell)
-    principal = np.arange(group.order) == 0
-    return ~power_reduce(principal, min(ell, group.order), np.logical_or)
+    marked = np.zeros(group.order, dtype=bool)
+    marked[[0, *(e % group.order for e in excluded)]] = True
+    return ~power_reduce(marked, min(ell, group.order), np.logical_or)
 
 
 def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> complex:
@@ -181,5 +174,4 @@ def orthogonality_sum(group: CharacterGroup, m: int, n: int) -> complex:
     dn = group.dlog.of(n)
     diff = (dm - dn) % group.order
     idx = (np.arange(group.order, dtype=np.int64) * diff) % group.order
-    vals = group.root_table[idx]
-    return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+    return _fsum_complex(group.root_table[idx])

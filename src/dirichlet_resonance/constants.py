@@ -14,6 +14,7 @@ Naming maps the targets to their constants:
 in C(ell) is log log 4 ~ 0.3266 (the printed check value ~1.33 for ell = 1
 forces this reading).  S is evaluated in closed form (its printed alternating
 sum, ``_alt``, cancels from ell ~ 30); over- or underflow raises ValueError.
+The two strip admissibility conditions differ only in their term E.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ LOG_LOG_4 = math.log(math.log(4.0))
 
 @dataclass(frozen=True)
 class AdmissibleRange:
-    """An open/closed interval of admissible parameter values.
+    """An open interval (lower, upper) of admissible parameter values.
 
     Emptiness (upper <= lower) is representable and must be reported, never
     silently clamped.
@@ -63,9 +64,6 @@ class AdmissibleRange:
     name: str
     lower: float
     upper: float
-    lower_open: bool
-    upper_open: bool
-    source: str
 
     @property
     def is_empty(self) -> bool:
@@ -199,35 +197,39 @@ def resonator_mass_integral(sigma: float, tolerance: float = 1e-10) -> float:
 # admissibility inequalities for the strip targets
 # ---------------------------------------------------------------------------
 
+def _strip_slack(param: float, sigma: float, e: float) -> float:
+    """RHS - LHS of  2 param sigma + E < 1 + param sigma (1 - c(sigma))."""
+    c = resonator_mass_integral(sigma)
+    lhs = 2.0 * param * sigma + e
+    rhs = 1.0 + param * sigma * (1.0 - c)
+    return rhs - lhs
+
+
+def _strip_range(name: str, sigma: float, e: float) -> AdmissibleRange:
+    """name in (0, (1 - E)/(sigma (1 + c(sigma)))); empty when E >= 1."""
+    c = resonator_mass_integral(sigma)
+    numer = 1.0 - e
+    upper = numer / (sigma * (1.0 + c)) if numer > 0 else 0.0
+    return AdmissibleRange(name=name, lower=0.0, upper=upper)
+
+
 def strip_l_inequality_slack(kappa: float, sigma: float) -> float:
     """RHS - LHS of  2 kappa sigma + (9/4 - 3 sigma/2)/(7/4 - sigma/2)
     < 1 + kappa sigma (1 - c(sigma)); positive means satisfied strictly."""
-    c = resonator_mass_integral(sigma)
-    lhs = 2.0 * kappa * sigma + (2.25 - 1.5 * sigma) / (1.75 - 0.5 * sigma)
-    rhs = 1.0 + kappa * sigma * (1.0 - c)
-    return rhs - lhs
+    return _strip_slack(kappa, sigma, (2.25 - 1.5 * sigma) / (1.75 - 0.5 * sigma))
 
 
 def strip_logderiv_inequality_slack(eta: float, sigma: float, eps: float) -> float:
     """RHS - LHS of  2 eta sigma + 3(1 - sigma + eps)/(2 - sigma + eps)
     < 1 + eta sigma (1 - c(sigma))."""
-    c = resonator_mass_integral(sigma)
-    lhs = 2.0 * eta * sigma + 3.0 * (1.0 - sigma + eps) / (2.0 - sigma + eps)
-    rhs = 1.0 + eta * sigma * (1.0 - c)
-    return rhs - lhs
+    return _strip_slack(eta, sigma, 3.0 * (1.0 - sigma + eps) / (2.0 - sigma + eps))
 
 
 def strip_l_admissible_range(sigma: float) -> AdmissibleRange:
     """kappa in (0, (1 - E)/(sigma (1 + c(sigma)))) with
     E = (9/4 - 3 sigma/2)/(7/4 - sigma/2); open at both ends."""
     require_strip_sigma(sigma)
-    c = resonator_mass_integral(sigma)
-    numer = 1.0 - (2.25 - 1.5 * sigma) / (1.75 - 0.5 * sigma)
-    upper = numer / (sigma * (1.0 + c)) if numer > 0 else 0.0
-    return AdmissibleRange(
-        name="kappa", lower=0.0, upper=upper, lower_open=True, upper_open=True,
-        source="strip-l-zero-density-admissibility",
-    )
+    return _strip_range("kappa", sigma, (2.25 - 1.5 * sigma) / (1.75 - 0.5 * sigma))
 
 
 def default_strip_epsilon(sigma: float) -> float:
@@ -243,13 +245,7 @@ def strip_logderiv_admissible_range(sigma: float, eps: float | None = None) -> A
         eps = default_strip_epsilon(sigma)
     if not (0.0 < eps < sigma - 0.5):
         raise ValueError(f"eps must lie in (0, sigma - 1/2) = (0, {sigma - 0.5:g}), got {eps}")
-    c = resonator_mass_integral(sigma)
-    numer = 1.0 - 3.0 * (1.0 - sigma + eps) / (2.0 - sigma + eps)
-    upper = numer / (sigma * (1.0 + c)) if numer > 0 else 0.0
-    return AdmissibleRange(
-        name="eta", lower=0.0, upper=upper, lower_open=True, upper_open=True,
-        source="strip-logderiv-zero-density-admissibility",
-    )
+    return _strip_range("eta", sigma, 3.0 * (1.0 - sigma + eps) / (2.0 - sigma + eps))
 
 
 def strip_logderiv_poly_params(sigma: float, ell: int) -> tuple[float, float]:

@@ -36,8 +36,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arithmetic import primes_up_to, require_odd_prime, require_positive
-from .characters import CharacterGroup, power_reduce
+from .arithmetic import _fsum_complex, primes_up_to, require_odd_prime, require_positive
+from .characters import CharacterGroup, eligible, power_reduce
 from .constants import (
     default_strip_epsilon,
     max_ell_for_sigma,
@@ -48,7 +48,6 @@ from .constants import (
 )
 from .lfunctions import (
     EULER_GAMMA,
-    _fsum_complex,
     exact_l,
     exact_l_all,
     logderiv_poly_all,
@@ -330,12 +329,7 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
     bound = _bound_for(config, kernel)
     margin = ratio - bound
 
-    # eligible characters: no power chi^j, j <= ell, is principal or one of
-    # the user-designated exceptional indices
-    order = group.order
-    marked = np.zeros(order, dtype=bool)
-    marked[[0, *(e % order for e in config.excluded)]] = True
-    mask = ~power_reduce(marked, config.ell, np.logical_or)
+    mask = eligible(group, config.ell, config.excluded)
     members = np.flatnonzero(mask)
     if not len(members):
         raise ConfigError(f"eligible set is empty for q={config.q}, ell={config.ell}")
@@ -378,8 +372,8 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
             f"Im S2 = {s2_val.imag!r} is not negligible (S2={s2_val!r}, S1={s1_val!r}); "
             "character indexing is likely broken"
         )
-    if s1_val < order * (1.0 - 1e-12):
-        failures.append(f"S1 = {s1_val!r} fell below phi(q) = {order}")
+    if s1_val < group.order * (1.0 - 1e-12):
+        failures.append(f"S1 = {s1_val!r} fell below phi(q) = {group.order}")
     if margin < -_SLACK * max(1.0, abs(bound)):
         failures.append(
             f"resonance inequality violated: ratio {ratio!r} < bound {bound!r} "

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import (PrecisionError, exact_sum, prime_powers_up_to, primes_up_to,
+from .arithmetic import (PrecisionError, _fsum_complex, prime_powers_up_to, primes_up_to,
                          require_positive)
 from .characters import Character, CharacterGroup
 
@@ -92,10 +92,6 @@ def _check_cutoff(y: int) -> None:
     require_positive("truncation cutoff", y)
     if y > 10**8:
         raise PrecisionError(f"cutoff {y} exceeds the double-precision budget (1e8)")
-
-
-def _fsum_complex(arr: np.ndarray) -> complex:
-    return complex(exact_sum(arr.real), exact_sum(arr.imag))
 
 
 # ---------------------------------------------------------------------------

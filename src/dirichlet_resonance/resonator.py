@@ -6,9 +6,10 @@ The resonator attached to a completely multiplicative kernel r is
 
     R(chi) = prod_{p <= X, p != q} (1 - r(p) chi(p))^-1,
 
-so |R(chi)|^2 is a finite product (r(p) < 1 keeps every factor finite).  The
-factor at p = q is skipped explicitly: chi(q) = 0 would make it 1 anyway,
-and skipping keeps the principal character on the same code path.
+so |R(chi)|^2 is a finite product (r(p) < 1 keeps every factor finite);
+kernels give r only as ``prime_values`` over a prime array.  The factor at
+p = q is skipped explicitly: chi(q) = 0 would make it 1 anyway, and
+skipping keeps the principal character on the same code path.
 ``resonator_sq_all`` evaluates every factor in real arithmetic as
 (1 - r)^2 + 4 r sin^2(theta/2) from one mirrored half-angle table, so no
 complex character values are formed; the scalar ``resonator_sq`` keeps the
@@ -45,7 +46,8 @@ import numpy as np
 
 from .arithmetic import exact_sum, harmonic, primes_up_to, require_positive
 from .characters import Character, CharacterGroup, power_reduce
-from .constants import (factorial_ratio, max_ell_for_sigma, require_finite,
+# max_ell_for_sigma is not used here; tests/test_acceptance.py imports it from here
+from .constants import (factorial_ratio, max_ell_for_sigma, require_finite,  # noqa: F401
                         require_strip_ell, require_strip_sigma)
 from .lfunctions import (
     EULER_GAMMA,
@@ -59,7 +61,6 @@ __all__ = [
     "SigmaKernel",
     "ResonanceKernel",
     "CongruenceS1",
-    "kernel_value",
     "resonator_sq",
     "resonator_sq_all",
     "s1",
@@ -71,7 +72,6 @@ __all__ = [
     "p_j",
     "p_j_linear_asymptotic",
     "p_j_sigma_asymptotic",
-    "max_ell_for_sigma",  # from .constants; scripts and tests import it from here
     "require_y_covers_x",
 ]
 
@@ -108,11 +108,6 @@ class SigmaKernel:
 
 
 ResonanceKernel = Union[LinearKernel, SigmaKernel]
-
-
-def kernel_value(kernel: ResonanceKernel, p: int) -> float:
-    """r(p) for a single prime."""
-    return float(kernel.prime_values(np.asarray([p], dtype=np.int64))[0])
 
 
 def _support(kernel: ResonanceKernel, exclude_q: int | None = None):

@@ -19,9 +19,9 @@ from dirichlet_resonance.arithmetic import (
     mertens_product,
     prime_power_tail_constant,
     prime_powers_up_to,
+    primes_up_to,
     primitive_root,
     sieve_primes,
-    von_mangoldt,
 )
 from dirichlet_resonance.lfunctions import EULER_GAMMA
 
@@ -65,31 +65,15 @@ class TestSievePrimes:
         ps = sieve_primes(10**4).primes
         assert np.all(np.diff(ps) > 0)
 
-
-class TestVonMangoldt:
-    def test_examples(self):
-        assert von_mangoldt(8) == pytest.approx(math.log(2), rel=1e-15)
-        assert von_mangoldt(6) == 0.0
-        assert von_mangoldt(7) == pytest.approx(math.log(7), rel=1e-15)
-        assert von_mangoldt(1) == 0.0
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            von_mangoldt(0)
-
-    def test_prime_power_support_up_to_1e4(self):
-        # Lambda(n) != 0 iff n is a prime power, cross-checked by factorization.
-        for n in range(1, 10**4 + 1):
-            m, distinct = n, 0
-            for p in range(2, int(math.isqrt(n)) + 1):
-                if m % p == 0:
-                    distinct += 1
-                    while m % p == 0:
-                        m //= p
-            if m > 1 and m != n:
-                distinct += 1
-            is_pp = (distinct == 1 and m == 1) or (distinct == 0 and n > 1)
-            assert (von_mangoldt(n) != 0.0) == is_pp, n
+    def test_cached_tables_are_read_only(self):
+        # every caller shares these arrays, so one in-place write would
+        # corrupt every later run in the process
+        tables = (sieve_primes(10).primes, primes_up_to(1000),
+                  *prime_powers_up_to(1000), *prime_powers_up_to(1))
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[:1] = 0
+        assert primes_up_to(1000)[:4].tolist() == [2, 3, 5, 7]
 
 
 class TestPrimitiveRoot:
@@ -161,17 +145,17 @@ class TestDiscreteLog:
 
 class TestEnumerateSmooth:
     def test_examples(self):
-        assert enumerate_smooth(3, 10).members == (1, 2, 3, 4, 6, 8, 9)
-        assert enumerate_smooth(2, 8).members == (1, 2, 4, 8)
+        assert enumerate_smooth(3, 10) == (1, 2, 3, 4, 6, 8, 9)
+        assert enumerate_smooth(2, 8) == (1, 2, 4, 8)
         assert len(enumerate_smooth(5, 30)) == len(brute_smooth(5, 30)) == 18
 
     @settings(max_examples=25, deadline=None)
     @given(x=st.integers(2, 20), cap=st.integers(1, 3000))
     def test_matches_brute_filter(self, x, cap):
-        assert list(enumerate_smooth(x, cap).members) == brute_smooth(x, cap)
+        assert list(enumerate_smooth(x, cap)) == brute_smooth(x, cap)
 
     def test_large_cap_is_cheap(self):
-        members = enumerate_smooth(3, 10**9).members
+        members = enumerate_smooth(3, 10**9)
         assert members[0] == 1 and members[-1] <= 10**9
         assert all(members[i] < members[i + 1] for i in range(len(members) - 1))
 

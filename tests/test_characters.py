@@ -87,7 +87,7 @@ class TestEvaluation:
             for n in range(1, 30):
                 assert bar(n) == complex(chi(n)).conjugate()
 
-    def test_value_row_matches_scalar(self, g7):
+    def test_character_values_match_scalar(self, g7):
         ns = np.arange(0, 50, dtype=np.int64)
         for a in (0, 1, 3):
             row = g7.character(a).values(ns)
@@ -133,7 +133,8 @@ class TestGroupStructure:
     def test_power_object_route_small(self):
         for q in (5, 7, 11, 13, 31):
             group = CharacterGroup(q)
-            for chi in group.characters():
+            for k in range(group.order):
+                chi = group.character(k)
                 assert chi.power(chi.order()).is_principal
 
 
@@ -156,13 +157,20 @@ class TestEligible:
                 assert count == oracle
 
     def test_matches_gcd_rule_exhaustively(self):
-        # ord(chi_k) = (q-1)/gcd(k, q-1) for every prime q <= 3000
+        # ord(chi_k) = (q-1)/gcd(k, q-1) for every prime q <= 3000; an
+        # excluded index e also removes every k with k j = e (mod q-1) for
+        # some j <= ell (4000 checks that e is taken mod q-1)
         for q in (int(p) for p in sieve_primes(3000).primes if p >= 3):
             group = CharacterGroup(q)
             ks = np.arange(group.order, dtype=np.int64)
             orders = group.order // np.gcd(ks, group.order)
-            for ell in range(1, 9):
-                assert np.array_equal(eligible(group, ell), orders > ell), (q, ell)
+            powers = np.outer(ks, np.arange(1, 9)) % group.order
+            for excluded in ((), (3,), (5, 7), (1, 4000)):
+                hits = np.isin(powers, [e % group.order for e in excluded])
+                for ell in range(1, 9):
+                    want = (orders > ell) & ~hits[:, :ell].any(axis=1)
+                    got = eligible(group, ell, excluded)
+                    assert np.array_equal(got, want), (q, ell, excluded)
 
     def test_members_have_large_order(self):
         group = CharacterGroup(101)

@@ -204,7 +204,7 @@ class TestStripLAdmissibility:
         want = (1.0 - 9.0 / 11.0) / (sigma * (1.0 + c))
         rng = strip_l_admissible_range(sigma)
         assert rng.upper == pytest.approx(want, rel=1e-10)
-        assert rng.lower == 0.0 and rng.lower_open and rng.upper_open
+        assert (rng.name, rng.lower) == ("kappa", 0.0)
 
     def test_numerator_positive_above_half(self):
         for sigma in np.linspace(0.52, 0.98, 24):
@@ -217,6 +217,25 @@ class TestStripLAdmissibility:
         assert not rng.is_empty
         assert strip_l_inequality_slack(rng.midpoint, sigma) > 0.0
         assert strip_l_inequality_slack(rng.upper * 1.01, sigma) < 0.0
+
+
+def test_strip_bounds_and_slacks_keep_their_printed_bits():
+    # both targets share one bound (1 - E)/(sigma (1 + c)) and one slack;
+    # each must round exactly as its own printed formula does
+    for sigma in SIGMA_GRID:
+        c = resonator_mass_integral(sigma)
+        eps = default_strip_epsilon(sigma)
+        targets = (
+            ((2.25 - 1.5 * sigma) / (1.75 - 0.5 * sigma), strip_l_admissible_range(sigma),
+             lambda p: strip_l_inequality_slack(p, sigma)),
+            (3.0 * (1.0 - sigma + eps) / (2.0 - sigma + eps), strip_logderiv_admissible_range(sigma),
+             lambda p: strip_logderiv_inequality_slack(p, sigma, eps)),
+        )
+        for e, rng, slack in targets:
+            assert rng.upper == (1.0 - e) / (sigma * (1.0 + c)), sigma
+            for param in (rng.midpoint, rng.upper * 1.01, 0.3):
+                want = (1.0 + param * sigma * (1.0 - c)) - (2.0 * param * sigma + e)
+                assert slack(param) == want, (sigma, param)
 
 
 class TestStripLogderivAdmissibility:
@@ -240,7 +259,7 @@ class TestStripLogderivAdmissibility:
             assert numer < 0.0
         from dirichlet_resonance.constants import AdmissibleRange
 
-        empty = AdmissibleRange("eta", 0.0, 0.0, True, True, "limit-case")
+        empty = AdmissibleRange("eta", 0.0, 0.0)
         assert empty.is_empty
         with pytest.raises(ValueError):
             _ = empty.midpoint

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dirichlet_resonance import experiments, lfunctions, resonator
 from dirichlet_resonance.arithmetic import primes_up_to
-from dirichlet_resonance.characters import CharacterGroup, power_reduce
+from dirichlet_resonance.characters import CharacterGroup, eligible, power_reduce
 from dirichlet_resonance.experiments import (
     REPORT_COLUMNS,
     ConfigError,
@@ -335,6 +335,18 @@ class TestMaskBookkeeping:
         assert report.max_value == max_value
         assert report.near_ties == tuple(k for k in members if vals[k] >= tie_cut)
         assert report.certificate == (report.s2.real - excluded_sum) / report.s1
+
+    def test_mask_comes_from_eligible(self, monkeypatch):
+        seen = []
+
+        def spy(group, ell, excluded=()):
+            seen.append((group.q, ell, excluded))
+            return eligible(group, ell, excluded)
+
+        monkeypatch.setattr(experiments, "eligible", spy)
+        report = run_theorem(ExperimentConfig(1, 101, 2, x=20.0, y=1000, excluded=(3, 105)))
+        assert seen == [(101, 2, (3, 105))]
+        assert report.argmax_index in np.flatnonzero(eligible(CharacterGroup(101), 2, (3, 5)))
 
 
 class TestReferenceNeverServesTheFastPath:

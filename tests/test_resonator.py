@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dirichlet_resonance.arithmetic import prime_powers_up_to, primes_up_to
 from dirichlet_resonance.characters import CharacterGroup, power_reduce
+from dirichlet_resonance.constants import max_ell_for_sigma
 from dirichlet_resonance.experiments import ExperimentConfig, run_theorem
 from dirichlet_resonance.lfunctions import truncated_l
 from dirichlet_resonance.resonator import (
@@ -19,8 +20,6 @@ from dirichlet_resonance.resonator import (
     bound_l_product,
     bound_logderiv_product,
     bound_prime_sum,
-    kernel_value,
-    max_ell_for_sigma,
     p_j,
     p_j_linear_asymptotic,
     p_j_sigma_asymptotic,
@@ -80,15 +79,20 @@ def g7():
     return CharacterGroup(7)
 
 
+def _at(kernel, *ps):
+    return kernel.prime_values(np.asarray(ps, dtype=np.int64)).tolist()
+
+
 class TestKernels:
     def test_linear_examples(self):
         k = LinearKernel(10.0)
-        assert kernel_value(k, 2) == pytest.approx(0.8, rel=1e-15)
-        assert kernel_value(k, 11) == 0.0
+        r2, r11 = _at(k, 2, 11)
+        assert r2 == pytest.approx(0.8, rel=1e-15)
+        assert r11 == 0.0
 
     def test_sigma_example(self):
         k = SigmaKernel(16.0, 0.75)
-        assert kernel_value(k, 2) == pytest.approx(1.0 - 0.125**0.75, rel=1e-14)
+        assert _at(k, 2)[0] == pytest.approx(1.0 - 0.125**0.75, rel=1e-14)
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
@@ -108,9 +112,9 @@ class TestKernels:
         assert np.all(np.diff(on_support) <= 0)
 
     def test_real_valued_x_support_is_floor(self):
-        k = LinearKernel(10.9)
-        assert kernel_value(k, 7) > 0
-        assert kernel_value(k, 11) == 0.0
+        r7, r11 = _at(LinearKernel(10.9), 7, 11)
+        assert r7 > 0
+        assert r11 == 0.0
 
 
 class TestResonatorSq:

@@ -14,10 +14,15 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("trend_sweep.py", ["--primes", "100..200", "--out", "{tmp}/trend.csv"], "trend.csv"),
     ("truncation_errors.py", ["--qs", "5", "--grid", "100", "1000", "--outdir", "{tmp}"],
      "truncation_q5.csv"),
+    ("report_digest.py", [], None),
 ])
 def test_script_runs(tmp_path, script, args, written):
     argv = [a.format(tmp=tmp_path) for a in args]
     done = subprocess.run([sys.executable, str(SCRIPTS / script), *argv], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert (tmp_path / written).stat().st_size > 0
+    if written is None:  # the digest script prints `<count> <sha256>` and writes nothing
+        count, digest = done.stdout.split()
+        assert int(count) == 809 and len(bytes.fromhex(digest)) == 32
+    else:
+        assert (tmp_path / written).stat().st_size > 0
