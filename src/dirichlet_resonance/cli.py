@@ -10,6 +10,7 @@ file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -30,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_const = sub.add_parser("constants", help="print the closed-form constants")
     p_const.add_argument("--ell", type=int, nargs="+", required=True, metavar="L")
-    p_const.add_argument("--sigma", type=float, nargs="*", default=[], metavar="S")
+    p_const.add_argument("--sigma", type=float, nargs="*", default=(), metavar="S")
     p_const.add_argument(
         "--columns", type=str, default=None,
         help="comma list from C,Q,S,H,c,kappa,eta,omega,beta (default: all applicable)",
@@ -57,13 +58,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--q", type=int, required=True)
     p_oracle.add_argument("--sigma", type=float, default=1.0)
     p_oracle.add_argument("--Y", type=int, nargs="+", dest="y_grid",
-                          default=[100, 1000, 10000, 100000])
+                          default=(100, 1000, 10000, 100000))
     p_oracle.add_argument("--output", type=str, default=None, help="output directory")
 
     p_verify = sub.add_parser("verify", help="run the property battery")
     p_verify.add_argument("--quick", action="store_true",
                           help="small-q battery (a few seconds)")
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses on every call: its defaults are immutable
+    and parsing leaves it unchanged, so one build serves the process."""
+    return build_parser()
 
 
 def _range_cell(rng) -> str:
@@ -245,7 +253,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     commands = {
         "constants": lambda: _cmd_constants(args, parser),

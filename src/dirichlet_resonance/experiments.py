@@ -31,7 +31,6 @@ import cmath
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -490,6 +489,8 @@ def sweep(theorem: int, prime_range: tuple[int, int], ell: int = 1,
         ).validated())
     workers = min(jobs, len(configs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays for it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_theorem, configs))
     else:

@@ -12,8 +12,10 @@ p = q is skipped explicitly: chi(q) = 0 would make it 1 anyway, and
 skipping keeps the principal character on the same code path.
 ``resonator_sq_all`` evaluates every factor in real arithmetic as
 (1 - r)^2 + 4 r sin^2(theta/2) from one mirrored half-angle table, so no
-complex character values are formed; the scalar ``resonator_sq`` keeps the
-root-table evaluation as the reference it is tested against.
+complex character values are formed, and multiplies the factors into one
+running product one prime at a time: the working set is O(q) whatever the
+number of primes.  The scalar ``resonator_sq`` keeps the root-table
+evaluation as the reference it is tested against.
 
 S1 = sum_chi |R(chi)|^2 collapses by orthogonality to a congruence sum
 phi(q) * sum_{m = n mod q, (n,q)=1} r(m) r(n) over smooth integers, which
@@ -158,15 +160,22 @@ def _resonator_sq_vector(group: CharacterGroup, kernel: ResonanceKernel) -> np.n
     sin2[half + 1 :] = sin2[1 : order - half][::-1]
     d = group.dlog.dlog[ps % group.q]
     ks = np.arange(order, dtype=np.int64)
-    e = d[:, None] * ks[None, :]  # prime-major
-    t = e // order  # e mod N, in place: numpy's scalar // is far faster than %
-    t *= order
-    e -= t
-    del t  # at most two P x N arrays are ever alive
-    factors = sin2[e]
-    factors *= (4.0 * rv)[:, None]
-    factors += ((1.0 - rv) ** 2)[:, None]
-    return 1.0 / np.prod(factors, axis=0)
+    e = np.empty(order, dtype=np.int64)
+    t = np.empty(order, dtype=np.int64)
+    f = np.empty(order, dtype=np.float64)
+    prod = np.ones(order, dtype=np.float64)
+    # one prime at a time, in prime order: the same roundings as a
+    # prime-major P x N product over axis 0, in O(N) memory
+    for dp, scale, shift in zip(d.tolist(), (4.0 * rv).tolist(), ((1.0 - rv) ** 2).tolist()):
+        np.multiply(ks, dp, out=e)
+        np.floor_divide(e, order, out=t)  # e mod N: numpy's scalar // is far faster than %
+        t *= order
+        e -= t
+        sin2.take(e, out=f, mode="clip")  # e is in range; "raise" would buffer out
+        f *= scale
+        f += shift
+        prod *= f
+    return np.divide(1.0, prod, out=prod)
 
 
 def s1(group: CharacterGroup, kernel: ResonanceKernel) -> float:

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dirichlet_resonance import experiments
-from dirichlet_resonance.cli import main
+from dirichlet_resonance import cli, experiments
+from dirichlet_resonance.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -259,3 +263,88 @@ class TestParserContract:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; every later call,
+    after usage and config errors too, behaves as the first did."""
+
+    CONFIG = '{"theorem": 1, "q": 101, "ell": 1, "x": 20.0, "y": 1000}'
+
+    @staticmethod
+    def _without_seconds(path):
+        if path.suffix == ".json":
+            obj = json.loads(path.read_text())
+            rows = obj.get("rows", [obj])
+            for row in rows:
+                row.pop("seconds", None)
+            return obj
+        if path.suffix == ".csv":
+            with path.open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                row.pop("seconds", None)
+            return rows
+        return path.read_bytes()
+
+    def _one_pass(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        steps = [
+            ["constants", "--ell", "1", "2", "--output", str(out / "constants.csv")],
+            ["constants", "--ell", "1", "--columns", "S"],  # usage error: no --sigma
+            ["run", str(tmp_path / "ok.json"), "--output", str(out)],
+            ["run", str(tmp_path / "bad.json"), "--output", str(out)],  # config error
+            ["sweep", "--theorem", "1", "--primes", "100..200", "--jobs", "1",
+             "--output", str(out)],
+            ["oracle", "--q", "7", "--output", str(out)],
+            ["verify", "--quick"],
+        ]
+        results = []
+        for argv in steps:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((argv[0], code, capsys.readouterr().out))
+        files = {p.name: self._without_seconds(p) for p in sorted(out.iterdir())}
+        return results, files
+
+    def test_second_pass_matches_first(self, tmp_path, capsys):
+        (tmp_path / "ok.json").write_text(self.CONFIG)
+        (tmp_path / "bad.json").write_text('{"theorem": 1, "q": 7}')
+        (tmp_path / "out").mkdir()
+        first = self._one_pass(tmp_path, capsys)
+        assert [code for _, code, _ in first[0]] == [0, 2, 0, 2, 0, 0, 0]
+        assert sorted(first[1]) == ["constants.csv", "oracle.csv", "oracle.json", "report.csv",
+                                    "report.json", "sweep.csv", "sweep.json"]
+        assert first == self._one_pass(tmp_path, capsys)
+
+    def test_main_reuses_one_parser_and_build_parser_is_fresh(self):
+        assert cli._shared_parser() is cli._shared_parser()
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._shared_parser()
+
+    def test_defaults_are_immutable(self):
+        args = build_parser().parse_args(["constants", "--ell", "1"])
+        assert args.sigma == ()
+        args = build_parser().parse_args(["oracle", "--q", "5"])
+        assert args.y_grid == (100, 1000, 10000, 100000)
+
+
+def test_serial_commands_import_no_process_pool(tmp_path):
+    """Only a sweep that starts worker processes imports the process pool."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(TestSharedParser.CONFIG)
+    code = (
+        "import sys\n"
+        "from dirichlet_resonance import cli\n"
+        f"codes = [cli.main(['run', {str(cfg)!r}, '--output', {str(tmp_path)!r}]),\n"
+        f"         cli.main(['sweep', '--theorem', '1', '--primes', '100..120',\n"
+        f"                   '--output', {str(tmp_path)!r}])]\n"
+        "print(codes, 'concurrent.futures.process' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "[0, 0] False"

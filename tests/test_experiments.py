@@ -1,5 +1,6 @@
 """Pipelines, configs, sweeps, oracle tables, and report writers."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -508,7 +509,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         return created
 
     @pytest.mark.parametrize("jobs", [0, -1])

@@ -1,5 +1,6 @@
 """Kernels, resonator weights, S1/S2, the congruence oracle, and the bounds."""
 
+import functools
 import math
 import tracemalloc
 
@@ -182,6 +183,61 @@ def test_resonator_sq_all_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= (2 * n_primes + 8) * order * 8
+
+
+def _prime_major_rsq(group, kernel):
+    """|R(chi)|^2 from every factor at once: a prime-major P x N array
+    multiplied over axis 0, row after row.  The streamed product in
+    ``resonator_sq_all`` must reproduce it bit for bit."""
+    ps, rv = _support(kernel, group.q)
+    order = group.order
+    if len(ps) == 0:
+        return np.ones(order)
+    half = order // 2
+    sin2 = np.empty(order)
+    sin2[: half + 1] = np.sin(np.pi * np.arange(half + 1) / order) ** 2
+    sin2[half + 1 :] = sin2[1 : order - half][::-1]
+    d = group.dlog.dlog[ps % group.q]
+    e = (d[:, None] * np.arange(order, dtype=np.int64)[None, :]) % order
+    factors = sin2[e] * (4.0 * rv)[:, None] + ((1.0 - rv) ** 2)[:, None]
+    return 1.0 / np.prod(factors, axis=0)
+
+
+_stream_group = functools.cache(CharacterGroup)
+
+
+class TestResonatorSqStreaming:
+    @pytest.mark.parametrize("q", [101, 1009, 10007, 19997, 100003])
+    @pytest.mark.parametrize("x", [7.08, 14.6, 40.0])
+    @pytest.mark.parametrize("sigma", [None, 0.75])
+    def test_bitwise_equal_to_prime_major_product(self, q, x, sigma):
+        kernel = LinearKernel(x) if sigma is None else SigmaKernel(x, sigma)
+        group = _stream_group(q)
+        got = resonator_sq_all(group, kernel)
+        assert got.tobytes() == _prime_major_rsq(group, kernel).tobytes()
+
+    @pytest.mark.parametrize("q", [101, 10007])
+    def test_empty_support_is_all_ones(self, q):
+        group = _stream_group(q)
+        got = resonator_sq_all(group, LinearKernel(1.5))
+        assert got.tobytes() == np.ones(group.order).tobytes()
+        assert got.tobytes() == _prime_major_rsq(group, LinearKernel(1.5)).tobytes()
+
+
+def test_resonator_sq_working_set_does_not_grow_with_primes():
+    # one prime at a time: a fixed handful of length-N buffers, so the
+    # peak is the same bound at P = 12 and P = 46
+    order = 100002
+    assert (len(primes_up_to(40)), len(primes_up_to(200))) == (12, 46)
+    for x in (40.0, 200.0):
+        group = CharacterGroup(100003)
+        tracemalloc.start()
+        try:
+            resonator_sq_all(group, LinearKernel(x))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * order * 8, (x, peak)
 
 
 class TestS1:
