@@ -190,8 +190,6 @@ def _parse_prime_range(text: str, parser) -> tuple[int, int]:
 
 def _cmd_sweep(args, parser) -> int:
     lo, hi = _parse_prime_range(args.primes, parser)
-    if args.theorem in (2, 4) and args.sigma is None:
-        parser.error(f"theorem {args.theorem} requires --sigma")
     try:
         result = exp.sweep(
             args.theorem, (lo, hi), ell=args.ell, sigma=args.sigma,

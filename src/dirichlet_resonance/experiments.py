@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .arithmetic import _fsum_complex, primes_up_to, require_odd_prime, require_positive
-from .characters import CharacterGroup, eligible, power_reduce
+from .characters import CharacterGroup, eligible
 from .constants import (
     default_strip_epsilon,
     max_ell_for_sigma,
@@ -49,7 +49,6 @@ from .lfunctions import (
     EULER_GAMMA,
     exact_l,
     exact_l_all,
-    logderiv_poly_all,
     truncated_l_all,
 )
 from .resonator import (
@@ -58,6 +57,7 @@ from .resonator import (
     bound_l_product,
     bound_logderiv_product,
     bound_prime_sum,
+    joint_product,
     require_y_covers_x,
     s1,
     s2_terms,
@@ -333,12 +333,10 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
     if not len(members):
         raise ConfigError(f"eligible set is empty for q={config.q}, ell={config.ell}")
 
-    if config.theorem in (1, 2):
-        base = truncated_l_all(group, sigma_eff, config.y)
-    else:
-        base = logderiv_poly_all(group, sigma_eff, config.y)
-    prod = power_reduce(base, config.ell, np.multiply)
-    vals = np.abs(prod) if config.theorem in (1, 2) else prod.real
+    on_line = config.theorem in (1, 2)  # the functional is |prod L|, else Re prod D
+    prod = joint_product(group, "l-product" if on_line else "logderiv-product", config.ell,
+                         sigma_eff, config.y)
+    vals = np.abs(prod) if on_line else prod.real
     argmax_index = int(members[np.argmax(vals[members])])  # the first maximum
     max_value = float(vals[argmax_index])
     tie_cut = max_value - _TIE_TOL * max(1.0, abs(max_value))
@@ -348,14 +346,15 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
     certificate = (s2_val.real - excluded_sum) / s1_val
 
     logderiv_mod = None
-    if config.theorem in (3, 4):
+    if not on_line:
         logderiv_mod = float(np.abs(prod)[argmax_index])
 
     oracle_gap = None
-    if config.theorem in (1, 2) and config.q <= _ORACLE_MAX_Q:
+    if on_line and config.q <= _ORACLE_MAX_Q:
         ex = exact_l(group.character(argmax_index), sigma_eff).value
         if abs(ex) >= 1e-8:
-            oracle_gap = float(abs(base[argmax_index] - ex) / abs(ex))
+            trunc = truncated_l_all(group, sigma_eff, config.y)[argmax_index]
+            oracle_gap = float(abs(trunc - ex) / abs(ex))
 
     failures = []
     checked = {
@@ -538,18 +537,17 @@ def oracle_comparison(q: int, sigma: float, y_grid: tuple[int, ...]) -> OracleCo
     if not y_grid:
         raise ValueError("y_grid must be non-empty")
     group = CharacterGroup(q)
-    exact = exact_l_all(group, sigma)
-    keep, dropped = [], []
-    for k in range(1, group.order):
-        (keep if abs(exact[k]) >= 1e-8 else dropped).append(k)
-    errors = np.empty((len(keep), len(y_grid)), dtype=np.float64)
-    for j, y in enumerate(sorted(y_grid)):
-        trunc = truncated_l_all(group, sigma, int(y))
-        for i, k in enumerate(keep):
-            errors[i, j] = abs(trunc[k] - exact[k]) / abs(exact[k])
+    grid = tuple(sorted(int(y) for y in y_grid))
+    ks = np.arange(1, group.order)
+    exact = exact_l_all(group, sigma)[ks]
+    # np.hypot, not np.abs: numpy's array complex abs can differ in the last bit
+    size = np.hypot(exact.real, exact.imag)
+    keep = size >= 1e-8
+    gaps = [truncated_l_all(group, sigma, y)[ks[keep]] - exact[keep] for y in grid]
+    errors = np.column_stack([np.hypot(gap.real, gap.imag) / size[keep] for gap in gaps])
     return OracleComparison(
-        q=q, sigma=sigma, y_grid=tuple(sorted(int(y) for y in y_grid)),
-        indices=tuple(keep), rel_errors=errors, excluded_near_zero=tuple(dropped),
+        q=q, sigma=sigma, y_grid=grid, indices=tuple(ks[keep].tolist()), rel_errors=errors,
+        excluded_near_zero=tuple(ks[~keep].tolist()),
     )
 
 

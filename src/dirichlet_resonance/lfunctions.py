@@ -70,17 +70,12 @@ class NearZeroLValue(ValueError):
 
 @dataclass(frozen=True)
 class LValue:
-    """A computed L-function (or log-derivative) value plus how it was made.
-
-    method is one of: truncated-euler, dirichlet-poly, hurwitz-oracle,
-    digamma-oracle.
-    """
+    """A computed L-function (or log-derivative) value, its sigma and its
+    cutoff (None for the exact oracles)."""
 
     value: complex
-    method: str
     sigma: float
     y: int | None = None
-    precision: float | None = None
 
 
 def _check_sigma(sigma: float) -> None:
@@ -105,11 +100,11 @@ def truncated_l(chi: Character, sigma: float, y: int) -> LValue:
     ps = primes_up_to(y)
     ps = ps[ps != chi.group.q]
     if len(ps) == 0:
-        return LValue(1 + 0j, "truncated-euler", sigma, y)
+        return LValue(1 + 0j, sigma, y)
     vals = chi.values(ps)
     w = ps.astype(np.float64) ** (-sigma)
     logs = -np.log(1.0 - vals * w)
-    return LValue(cmath.exp(_fsum_complex(logs)), "truncated-euler", sigma, y)
+    return LValue(cmath.exp(_fsum_complex(logs)), sigma, y)
 
 
 def logderiv_poly(chi: Character, sigma: float, y: int) -> LValue:
@@ -121,10 +116,10 @@ def logderiv_poly(chi: Character, sigma: float, y: int) -> LValue:
     _check_cutoff(y)
     ns, logps = prime_powers_up_to(y)
     if len(ns) == 0:
-        return LValue(0j, "dirichlet-poly", sigma, y)
+        return LValue(0j, sigma, y)
     vals = chi.values(ns)  # zero at multiples of q
     w = logps * ns.astype(np.float64) ** (-sigma)
-    return LValue(_fsum_complex(vals * w), "dirichlet-poly", sigma, y)
+    return LValue(_fsum_complex(vals * w), sigma, y)
 
 
 def _joint_product(evaluate, chi: Character, ell: int, sigma: float, y: int) -> complex:
@@ -344,8 +339,7 @@ def exact_l(chi: Character, sigma: float) -> LValue:
     if chi.is_principal:
         raise ValueError("the exact oracle is defined for non-principal characters")
     _check_sigma(sigma)
-    method = "digamma-oracle" if sigma == 1.0 else "hurwitz-oracle"
-    return LValue(_exact_l_value(chi, sigma), method, sigma, precision=1e-12)
+    return LValue(_exact_l_value(chi, sigma), sigma)
 
 
 def exact_l_all(group: CharacterGroup, sigma: float) -> np.ndarray:
@@ -387,5 +381,4 @@ def exact_logderiv(chi: Character, sigma: float, h: float = 1e-4) -> LValue:
 
     d1 = central(h)
     d2 = central(h / 2.0)
-    value = (4.0 * d2 - d1) / 3.0
-    return LValue(value, "hurwitz-oracle", sigma, precision=abs(d2 - d1) / 3.0)
+    return LValue((4.0 * d2 - d1) / 3.0, sigma)

@@ -21,18 +21,18 @@ S1 = sum_chi |R(chi)|^2 collapses by orthogonality to a congruence sum
 phi(q) * sum_{m = n mod q, (n,q)=1} r(m) r(n) over smooth integers, which
 ``s1_congruence_oracle`` evaluates directly as an independent check.
 
-``s2_terms`` attaches one of three target weights to |R(chi)|^2, per
-character:
+``joint_product`` gives one of three target weights for every character:
 
-    l-product:          prod_{j<=ell} L(sigma, chi^j; Y)        (sigma = 1 here)
+    l-product:          prod_{j<=ell} L(sigma, chi^j; Y)
     prime-sum:          sum_{j<=ell} sum_{p<=Y} chi(p)^j p^-sigma
     logderiv-product:   prod_{j<=ell} D_j,  D_j = sum_{n<=Y} Lambda(n) chi(n)^j n^-sigma
 
 Each is one whole-group base vector reduced over the power family by
-``characters.power_reduce``.  The summands stay complex;
-``experiments.run_theorem`` sums them, reports a failure when the imaginary
-part is not negligible (trusting conjugate symmetry silently would hide
-character-indexing bugs) and reduces to the real part.
+``characters.power_reduce`` and stored on the group; the extremal search
+reads it, and ``s2_terms`` multiplies it by |R(chi)|^2.  The complex S2
+summands are summed by ``experiments.run_theorem``, which reports a failure
+when the imaginary part is not negligible (trusting conjugate symmetry
+silently would hide character-indexing bugs) and reduces to the real part.
 X is real-valued; kernel support compares primes by p <= floor(X).  The
 hypotheses on sigma and ell are checked by ``constants.require_strip_sigma``,
 ``constants.require_strip_ell`` and ``arithmetic.require_positive``.
@@ -67,6 +67,7 @@ __all__ = [
     "resonator_sq_all",
     "s1",
     "s1_congruence_oracle",
+    "joint_product",
     "s2_terms",
     "bound_l_product",
     "bound_prime_sum",
@@ -246,6 +247,26 @@ def require_y_covers_x(x: float, y: float) -> None:
         )
 
 
+def joint_product(group: CharacterGroup, target: str, ell: int, sigma: float,
+                  y: int) -> np.ndarray:
+    """The ``target``'s base vector reduced over chi_k, ..., chi_k^ell by
+    ``power_reduce``, for every character index k (stored, read-only)."""
+    require_positive("ell", ell)
+    return group.stored(_joint_product_vector, target, ell, sigma, y)
+
+
+def _joint_product_vector(group: CharacterGroup, target: str, ell: int, sigma: float,
+                          y: int) -> np.ndarray:
+    # an if-chain, not a module-level table, so each base is read as a module name per call
+    if target == "l-product":
+        return power_reduce(truncated_l_all(group, sigma, y), ell, np.multiply)
+    if target == "prime-sum":
+        return power_reduce(prime_sum_all(group, sigma, y), ell, np.add)
+    if target == "logderiv-product":
+        return power_reduce(logderiv_poly_all(group, sigma, y), ell, np.multiply)
+    raise ValueError(f"unknown S2 target {target!r}")
+
+
 def s2_terms(group: CharacterGroup, target: str, ell: int,
              kernel: ResonanceKernel, y: int) -> np.ndarray:
     """Per-character S2 summands (complex), indexed by character index.
@@ -253,20 +274,10 @@ def s2_terms(group: CharacterGroup, target: str, ell: int,
     ``run_theorem`` sums these for S2 and subtracts the excluded characters'
     terms from the same numbers for the certificate.
     """
-    require_positive("ell", ell)
     require_y_covers_x(kernel.x, y)
-    rsq = resonator_sq_all(group, kernel)
-    if target == "l-product":
-        core = power_reduce(truncated_l_all(group, kernel.sigma, y), ell, np.multiply)
-    elif target == "prime-sum":
-        core = power_reduce(prime_sum_all(group, kernel.sigma, y), ell, np.add)
-    elif target == "logderiv-product":
-        if isinstance(kernel, SigmaKernel):
-            require_strip_ell(kernel.sigma, ell)
-        core = power_reduce(logderiv_poly_all(group, kernel.sigma, y), ell, np.multiply)
-    else:
-        raise ValueError(f"unknown S2 target {target!r}")
-    return core * rsq
+    if target == "logderiv-product" and isinstance(kernel, SigmaKernel):
+        require_strip_ell(kernel.sigma, ell)
+    return joint_product(group, target, ell, kernel.sigma, y) * resonator_sq_all(group, kernel)
 
 
 # ---------------------------------------------------------------------------

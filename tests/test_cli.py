@@ -157,9 +157,15 @@ class TestSweepCommand:
         assert len(rows) == 21 and all(float(r["S2_im"]) == 1.0 for r in rows)
 
     def test_strip_target_needs_sigma(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--theorem", "2", "--primes", "100..120"])
-        assert exc.value.code == 2
+        code, _, err = run_cli(["sweep", "--theorem", "2", "--primes", "100..120"], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "sigma" in err and "Traceback" not in err
+
+    def test_line_target_takes_no_sigma(self, capsys):
+        code, _, err = run_cli(
+            ["sweep", "--theorem", "1", "--sigma", "0.8", "--primes", "100..120"], capsys
+        )
+        assert code == 2 and "takes no sigma" in err
 
     def test_bad_range_syntax(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import json
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -30,6 +31,7 @@ from dirichlet_resonance.experiments import (
 from dirichlet_resonance.lfunctions import (
     EULER_GAMMA,
     exact_l,
+    exact_l_all,
     logderiv_poly_all,
     prime_sum_all,
     truncated_l,
@@ -267,7 +269,7 @@ class TestEmptyEligibleSetRejectedUpFront:
         def evaluated(*args, **kwargs):
             raise AssertionError("evaluated a configuration that validation must reject")
 
-        for name in ("CharacterGroup", "s2_terms", "s1", "truncated_l_all", "logderiv_poly_all"):
+        for name in ("CharacterGroup", "s2_terms", "s1", "truncated_l_all", "joint_product"):
             monkeypatch.setattr(experiments, name, evaluated)
 
     @pytest.mark.parametrize("q,ell", [(3, 2), (5, 4), (101, 100), (101, 10**5)])
@@ -392,11 +394,14 @@ class TestWholeGroupVectorsComputedOnce:
 
     COMPUTES = {"L": (lfunctions, "_truncated_l_vector"), "P": (lfunctions, "_prime_sum_vector"),
                 "D": (lfunctions, "_logderiv_poly_vector"),
-                "rsq": (resonator, "_resonator_sq_vector")}
+                "rsq": (resonator, "_resonator_sq_vector"),
+                "joint": (resonator, "_joint_product_vector")}
 
     @pytest.mark.parametrize("theorem,sigma,computed", [
-        (1, None, {"L": 1, "rsq": 1}), (2, 0.9, {"P": 1, "L": 1, "rsq": 1}),
-        (3, None, {"D": 1, "rsq": 1}), (4, 0.9, {"D": 1, "rsq": 1}),
+        (1, None, {"L": 1, "rsq": 1, "joint": 1}),
+        (2, 0.9, {"P": 1, "L": 1, "rsq": 1, "joint": 2}),
+        (3, None, {"D": 1, "rsq": 1, "joint": 1}),
+        (4, 0.9, {"D": 1, "rsq": 1, "joint": 1}),
     ])
     def test_each_vector_once_per_run(self, monkeypatch, theorem, sigma, computed):
         counts = Counter()
@@ -409,6 +414,27 @@ class TestWholeGroupVectorsComputedOnce:
         report = run_theorem(ExperimentConfig(theorem, 101, 2, x=20.0, y=1000, sigma=sigma))
         assert report.passed, report.failures
         assert counts == computed
+
+    @pytest.mark.parametrize("theorem,sigma,calls", [(1, None, 2), (2, 0.9, 3), (3, None, 2),
+                                                     (4, 0.9, 2)])
+    def test_power_reduce_calls_per_run(self, monkeypatch, theorem, sigma, calls):
+        # the eligible mask plus one joint product that S2 and the extremal
+        # search share; theorem 2's prime-sum S2 weight is a second product
+        count = Counter()
+
+        def counted(*args):
+            count["power_reduce"] += 1
+            return power_reduce(*args)
+
+        sites = [module for name, module in sorted(sys.modules.items())
+                 if name.startswith("dirichlet_resonance")
+                 and getattr(module, "power_reduce", None) is power_reduce]
+        assert experiments not in sites and resonator in sites
+        for module in sites:
+            monkeypatch.setattr(module, "power_reduce", counted)
+        report = run_theorem(ExperimentConfig(theorem, 101, 2, x=20.0, y=1000, sigma=sigma))
+        assert report.passed, report.failures
+        assert count["power_reduce"] == calls
 
     def test_stored_arrays_are_read_only_and_keyed_by_every_argument(self):
         group = CharacterGroup(101)
@@ -544,6 +570,21 @@ class TestOracleComparison:
     def test_large_q_rejected(self):
         with pytest.raises(ValueError):
             oracle_comparison(503, 1.0, (100,))
+
+    @pytest.mark.parametrize("q", [101, 307, 491])
+    @pytest.mark.parametrize("sigma", [1.0, 0.75])
+    def test_table_equals_the_scalar_loop_bitwise(self, q, sigma):
+        grid = (100, 1000, 10000)
+        comp = oracle_comparison(q, sigma, grid)
+        group = CharacterGroup(q)
+        exact = exact_l_all(group, sigma)
+        keep = [k for k in range(1, q - 1) if abs(exact[k]) >= 1e-8]
+        dropped = [k for k in range(1, q - 1) if not abs(exact[k]) >= 1e-8]
+        want = np.array([[abs(truncated_l_all(group, sigma, y)[k] - exact[k]) / abs(exact[k])
+                          for y in grid] for k in keep], dtype=np.float64)
+        assert comp.indices == tuple(keep) and comp.excluded_near_zero == tuple(dropped)
+        assert all(type(k) is int for k in comp.indices + comp.excluded_near_zero)
+        assert comp.rel_errors.tobytes() == want.reshape(len(keep), len(grid)).tobytes()
 
 
 class TestWriters:

@@ -13,7 +13,8 @@ from dirichlet_resonance.arithmetic import prime_powers_up_to, primes_up_to
 from dirichlet_resonance.characters import CharacterGroup, power_reduce
 from dirichlet_resonance.constants import max_ell_for_sigma
 from dirichlet_resonance.experiments import ExperimentConfig, run_theorem
-from dirichlet_resonance.lfunctions import truncated_l
+from dirichlet_resonance.lfunctions import (logderiv_poly_all, prime_sum_all, truncated_l,
+                                            truncated_l_all)
 from dirichlet_resonance.resonator import (
     CongruenceS1,
     LinearKernel,
@@ -21,6 +22,7 @@ from dirichlet_resonance.resonator import (
     bound_l_product,
     bound_logderiv_product,
     bound_prime_sum,
+    joint_product,
     p_j,
     p_j_linear_asymptotic,
     p_j_sigma_asymptotic,
@@ -169,22 +171,6 @@ class TestResonatorSq:
         assert resonator_sq_all(CharacterGroup(q), kernel).tobytes() == vec.tobytes()
 
 
-def test_resonator_sq_all_peak_memory():
-    # at most two prime-major P x N arrays (indices, factors) plus O(N)
-    # tables; an out-of-place index reduction would hold a third
-    group = CharacterGroup(100003)
-    kernel = LinearKernel(40.0)
-    n_primes, order = len(primes_up_to(40)), group.order
-    assert n_primes == 12
-    tracemalloc.start()
-    try:
-        resonator_sq_all(group, kernel)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= (2 * n_primes + 8) * order * 8
-
-
 def _prime_major_rsq(group, kernel):
     """|R(chi)|^2 from every factor at once: a prime-major P x N array
     multiplied over axis 0, row after row.  The streamed product in
@@ -294,6 +280,29 @@ class TestS1:
                  + (2.0 * (oracle.terms + math.log2(cap)) + 2.0) * _U * oracle.value)
         assert oracle.value - got <= slack
         assert got - oracle.value <= oracle.tail_bound + slack
+
+
+class TestJointProduct:
+    @pytest.mark.parametrize("target,base,op", [
+        ("l-product", truncated_l_all, np.multiply), ("prime-sum", prime_sum_all, np.add),
+        ("logderiv-product", logderiv_poly_all, np.multiply),
+    ])
+    def test_the_power_family_reduction_of_the_base_stored(self, target, base, op):
+        group = CharacterGroup(101)
+        got = joint_product(group, target, 3, 0.9, 500)
+        assert got is joint_product(group, target, 3, 0.9, 500)
+        assert not got.flags.writeable
+        assert got.tobytes() == power_reduce(base(group, 0.9, 500), 3, op).tobytes()
+
+    def test_input_checked_before_anything_is_stored(self):
+        group = CharacterGroup(7)
+        with pytest.raises(ValueError, match="ell"):
+            joint_product(group, "l-product", 0, 1.0, 100)
+        with pytest.raises(ValueError, match="unknown S2 target"):
+            joint_product(group, "l-sum", 1, 1.0, 100)
+        with pytest.raises(ValueError, match="sigma"):
+            joint_product(group, "l-product", 1, 1.5, 100)
+        assert group._vectors == {}
 
 
 class TestS2LProduct:

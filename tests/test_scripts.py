@@ -11,9 +11,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 @pytest.mark.parametrize("script,args,written", [
     ("run_battery.py", ["--qs", "101", "--out", "{tmp}/battery.csv"], "battery.csv"),
-    ("trend_sweep.py", ["--primes", "100..200", "--out", "{tmp}/trend.csv"], "trend.csv"),
-    ("truncation_errors.py", ["--qs", "5", "--grid", "100", "1000", "--outdir", "{tmp}"],
-     "truncation_q5.csv"),
     ("report_digest.py", [], None),
 ])
 def test_script_runs(tmp_path, script, args, written):
