@@ -1,6 +1,6 @@
-"""Prime sieving, the prime-power table, discrete logs, smooth numbers and
-the classical prime sums the resonance bounds are built from, plus the input
-rules every module shares: ``require_positive`` and ``require_odd_prime``.
+"""The prime sieve and prime-power table, discrete logs, smooth numbers and
+the classical prime sums behind the resonance bounds, plus the input rules
+every module shares: ``require_positive``, ``require_cutoff``, ``require_odd_prime``.
 
 Everything here is exact integer combinatorics plus double-precision prime
 sums.  Long sums are correctly rounded (``math.fsum``, or ``exact_sum`` and
@@ -28,6 +28,7 @@ __all__ = [
     "is_prime",
     "exact_sum",
     "require_positive",
+    "require_cutoff",
     "require_odd_prime",
     "primitive_root",
     "build_dlog",
@@ -183,8 +184,19 @@ def require_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def require_cutoff(y: int) -> None:
+    """Raise ValueError unless the truncation cutoff y is >= 1, and
+    PrecisionError past the double-precision budget of 1e8."""
+    require_positive("truncation cutoff", y)
+    if y > 10**8:
+        raise PrecisionError(f"cutoff {y} exceeds the double-precision budget (1e8)")
+
+
 def require_odd_prime(q: int) -> None:
-    """Raise ValueError unless q is an odd prime, the only moduli handled here."""
+    """Raise ValueError unless q is an odd prime, the only moduli handled here;
+    PrecisionError, before any trial division, past the int64 dlog bound."""
+    if q >= 3_037_000_500:
+        raise PrecisionError(f"q = {q} must be below 3037000500 for the int64 dlog table")
     if q < 3 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
 
@@ -220,9 +232,7 @@ def build_dlog(q: int) -> DiscreteLogTable:
     """Discrete-log table for (Z/qZ)*, from baby steps g^j and giant steps
     g^(ib), b = isqrt(q-1) + 1: one int64 outer product mod q lists every power
     g^(ib+j) in exponent order.  Residue products stay below q^2, so
-    q >= 3,037,000,500 raises PrecisionError before anything is allocated."""
-    if q >= 3_037_000_500:
-        raise PrecisionError(f"q = {q} must be below 3037000500 for the int64 dlog table")
+    q >= 3,037,000,500 fails ``require_odd_prime`` before anything is allocated."""
     g, n = primitive_root(q), q - 1
     b = math.isqrt(n) + 1
     baby = list(itertools.accumulate(range(b), lambda acc, _: acc * g % q, initial=1))

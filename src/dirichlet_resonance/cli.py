@@ -112,6 +112,7 @@ def _cmd_constants(args, parser) -> int:
             parser.error("sigma-dependent columns requested but no --sigma given")
 
     sigmas = args.sigma or [None]
+    header = ["ell", "sigma"] + list(cols)
     rows = []
     try:  # an input rule, or a constant that over- or underflows
         for ell in args.ell:
@@ -120,26 +121,18 @@ def _cmd_constants(args, parser) -> int:
             con.require_strip_sigma(sigma)
         for ell in args.ell:
             for sigma in sigmas:
-                row = {"ell": ell, "sigma": "" if sigma is None else f"{sigma:g}"}
                 # without --sigma, cols holds no sigma-dependent column
-                row.update((c, _CONST_COLUMNS[c][1](ell, sigma)) for c in cols)
-                rows.append(row)
+                rows.append([str(ell), "" if sigma is None else f"{sigma:g}"]
+                            + [_CONST_COLUMNS[c][1](ell, sigma) for c in cols])
     except ValueError as err:
         parser.error(str(err))
 
-    header = ["ell", "sigma"] + list(cols)
-    widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in header}
-    print("  ".join(h.ljust(widths[h]) for h in header))
-    for r in rows:
-        print("  ".join(str(r[h]).ljust(widths[h]) for h in header))
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    for line in [header, *rows]:
+        print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)))
 
     if args.output:
-        import csv
-
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows)
+        exp.write_rows(args.output, header, rows)
         print(f"wrote {args.output}")
     return 0
 
@@ -157,7 +150,7 @@ def _cmd_run(args) -> int:
     except exp.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    out = _outdir(args.output or config.output)
+    out = _outdir(args.output)
     json_path = os.path.join(out, "report.json")
     csv_path = os.path.join(out, "report.csv")
     exp.write_json(json_path, report.to_dict())
@@ -202,13 +195,7 @@ def _cmd_sweep(args, parser) -> int:
     csv_path = os.path.join(out, "sweep.csv")
     json_path = os.path.join(out, "sweep.json")
     exp.write_reports_csv(csv_path, result.reports)
-    exp.write_json(json_path, {
-        "theorem": result.theorem,
-        "ell": result.ell,
-        "sigma": result.sigma,
-        "rows": [r.to_dict() for r in result.reports],
-        "trend": result.trend_rows(),
-    })
+    exp.write_json(json_path, result.to_dict())
     n_fail = sum(1 for r in result.reports if not r.passed)
     print(f"{len(result.reports)} primes, {n_fail} failures")
     if result.theorem == 1:

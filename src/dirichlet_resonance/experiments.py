@@ -35,7 +35,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arithmetic import _fsum_complex, primes_up_to, require_odd_prime, require_positive
+from .arithmetic import (_fsum_complex, primes_up_to, require_cutoff, require_odd_prime,
+                         require_positive)
 from .characters import CharacterGroup, eligible
 from .constants import (
     default_strip_epsilon,
@@ -81,6 +82,7 @@ __all__ = [
     "write_reports_csv",
     "write_json",
     "write_oracle_csv",
+    "write_rows",
 ]
 
 LOG4 = math.log(4.0)
@@ -119,7 +121,6 @@ class ExperimentConfig:
     sigma: float | None = None
     excluded: tuple[int, ...] = ()
     endpoint_margin: float = 0.01
-    output: str | None = None
 
     def validated(self) -> "ExperimentConfig":
         """Check types and invariants and fill derived defaults for x and y;
@@ -133,8 +134,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not (isinstance(self.excluded, (list, tuple)) and all(map(_is_int, self.excluded))):
             raise ConfigError(f"excluded must be a list of integers, got {self.excluded!r}")
-        if self.output is not None and not isinstance(self.output, str):
-            raise ConfigError(f"output must be a path string, got {self.output!r}")
         if self.theorem not in (1, 2, 3, 4):
             raise ConfigError(f"theorem must be 1..4, got {self.theorem}")
         needs_sigma = self.theorem in (2, 4)
@@ -160,6 +159,7 @@ class ExperimentConfig:
             if y is None:
                 y = max(1000, int(math.ceil(x)))
             require_y_covers_x(x, y)
+            require_cutoff(y)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if any(not (0 <= e) for e in self.excluded):
@@ -182,7 +182,7 @@ def default_x(theorem: int, q: int, endpoint_margin: float = 0.01,
     legal boundary itself, which is non-strict)."""
     if q < _MIN_DEFAULT_X_Q:
         raise ValueError(f"default X needs q >= {_MIN_DEFAULT_X_Q} so that loglog q > 1; got {q}")
-    if endpoint_margin < 0 or (theorem in (2, 3, 4) and endpoint_margin >= 1):
+    if not endpoint_margin >= 0 or (theorem in (2, 3, 4) and not endpoint_margin < 1):
         raise ValueError(f"endpoint_margin must be >= 0, and < 1 for theorems 2-4 "
                          f"(X scales with 1 - margin); got {endpoint_margin}")
     l1 = math.log(q)
@@ -234,6 +234,20 @@ def config_from_json(path: str) -> ExperimentConfig:
 # one run
 # ---------------------------------------------------------------------------
 
+def _record_dict(record, **rename: str) -> dict:
+    """A record's fields as a JSON-ready dict, field ``f`` under the key
+    ``rename[f]`` if given; tuples and arrays become lists."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[rename.get(f.name, f.name)] = value
+    return out
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     """Everything one run computed, plus the inequality verdicts."""
@@ -264,36 +278,12 @@ class TheoremReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "q": self.q,
-            "ell": self.ell,
-            "sigma": self.sigma,
-            "X": self.x,
-            "Y": self.y,
-            "excluded": list(self.excluded),
-            "S1": self.s1,
-            "S2_re": self.s2.real,
-            "S2_im": self.s2.imag,
-            "ratio": self.ratio,
-            "bound": self.bound,
-            "margin": self.margin,
-            "argmax_index": self.argmax_index,
-            "max_value": self.max_value,
-            "near_ties": list(self.near_ties),
-            "certificate": self.certificate,
-            "logderiv_modulus_at_argmax": self.logderiv_modulus_at_argmax,
-            "oracle_gap": self.oracle_gap,
-            "seconds": self.seconds,
-            "failures": list(self.failures),
-            "passed": self.passed,
-        }
-
-    def csv_row(self) -> dict:
-        """The REPORT_COLUMNS fields of ``to_dict``; csv writes a float as
-        its repr and None as an empty cell."""
-        row = self.to_dict()
-        return {name: row[name] for name in REPORT_COLUMNS}
+        """Every field under its report key, S2 split into S2_re and S2_im,
+        then ``passed``."""
+        row = _record_dict(self, x="X", y="Y", s1="S1")
+        s2 = row.pop("s2")
+        row.update(S2_re=s2.real, S2_im=s2.imag, passed=self.passed)
+        return row
 
 
 def _kernel_for(config: ExperimentConfig):
@@ -425,21 +415,22 @@ class SweepResult:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.reports)
 
+    def to_dict(self) -> dict:
+        """The sweep record: its configuration, one report per prime, and
+        each prime's trend normalizations."""
+        trend = [{
+            "q": r.q,
+            "normalized": self.normalized_ratio(r) if self.theorem == 1 else None,
+            "ratio_over_bound": r.ratio / r.bound if r.bound != 0 else None,
+        } for r in self.reports]
+        return {"theorem": self.theorem, "ell": self.ell, "sigma": self.sigma,
+                "rows": [r.to_dict() for r in self.reports], "trend": trend}
+
     def normalized_ratio(self, report: TheoremReport) -> float:
         """ratio / (e^(ell gamma) (log X)^ell), the theorem-1 leading scale."""
         return report.ratio / (
             math.exp(self.ell * EULER_GAMMA) * math.log(report.x) ** self.ell
         )
-
-    def trend_rows(self) -> list[dict]:
-        rows = []
-        for r in self.reports:
-            rows.append({
-                "q": r.q,
-                "normalized": self.normalized_ratio(r) if self.theorem == 1 else None,
-                "ratio_over_bound": r.ratio / r.bound if r.bound != 0 else None,
-            })
-        return rows
 
     def decade_buckets(self) -> list[tuple[int, int, int, float]]:
         """(lo, hi, count, mean normalized ratio) per factor-of-10 bucket of q."""
@@ -518,15 +509,7 @@ class OracleComparison:
         return [float(np.max(self.rel_errors[:, j])) for j in range(len(self.y_grid))]
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "sigma": self.sigma,
-            "y_grid": list(self.y_grid),
-            "indices": list(self.indices),
-            "rel_errors": [list(map(float, row)) for row in self.rel_errors],
-            "excluded_near_zero": list(self.excluded_near_zero),
-            "decade_max": self.decade_max(),
-        }
+        return {**_record_dict(self), "decade_max": self.decade_max()}
 
 
 def oracle_comparison(q: int, sigma: float, y_grid: tuple[int, ...]) -> OracleComparison:
@@ -726,15 +709,21 @@ def run_verification(quick: bool = True) -> list[CheckResult]:
 # writers
 # ---------------------------------------------------------------------------
 
-def write_reports_csv(path: str, reports) -> None:
-    """Fixed-column CSV, one row per run (RFC-4180 quoting, header always)."""
+def write_rows(path: str, header, rows) -> None:
+    """CSV with one header line, then one line per row of cells (RFC-4180
+    quoting); csv writes None as an empty cell and a float as its repr."""
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(REPORT_COLUMNS))
-        writer.writeheader()
-        for report in reports:
-            writer.writerow(report.csv_row())
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_reports_csv(path: str, reports) -> None:
+    """Fixed-column CSV, one row per run: the REPORT_COLUMNS of ``to_dict``."""
+    rows = (report.to_dict() for report in reports)
+    write_rows(path, REPORT_COLUMNS, ([row[name] for name in REPORT_COLUMNS] for row in rows))
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -744,11 +733,6 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def write_oracle_csv(path: str, comp: OracleComparison) -> None:
-    import csv
-
-    cols = ["index"] + [f"rel_err_Y{y}" for y in comp.y_grid]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i, k in enumerate(comp.indices):
-            writer.writerow([k] + [repr(float(e)) for e in comp.rel_errors[i]])
+    header = ["index"] + [f"rel_err_Y{y}" for y in comp.y_grid]
+    rows = zip(comp.indices, comp.rel_errors.tolist())
+    write_rows(path, header, ([k, *errs] for k, errs in rows))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import (PrecisionError, _fsum_complex, prime_powers_up_to, primes_up_to,
+from .arithmetic import (_fsum_complex, prime_powers_up_to, primes_up_to, require_cutoff,
                          require_positive)
 from .characters import Character, CharacterGroup
 
@@ -70,23 +70,14 @@ class NearZeroLValue(ValueError):
 
 @dataclass(frozen=True)
 class LValue:
-    """A computed L-function (or log-derivative) value, its sigma and its
-    cutoff (None for the exact oracles)."""
+    """A computed L-function (or log-derivative) value."""
 
     value: complex
-    sigma: float
-    y: int | None = None
 
 
 def _check_sigma(sigma: float) -> None:
     if not (0.5 < sigma <= 1.0):
         raise ValueError(f"sigma must lie in (1/2, 1], got {sigma}")
-
-
-def _check_cutoff(y: int) -> None:
-    require_positive("truncation cutoff", y)
-    if y > 10**8:
-        raise PrecisionError(f"cutoff {y} exceeds the double-precision budget (1e8)")
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +87,15 @@ def _check_cutoff(y: int) -> None:
 def truncated_l(chi: Character, sigma: float, y: int) -> LValue:
     """Truncated Euler product prod_{p <= y, p != q} (1 - chi(p) p^-sigma)^-1."""
     _check_sigma(sigma)
-    _check_cutoff(y)
+    require_cutoff(y)
     ps = primes_up_to(y)
     ps = ps[ps != chi.group.q]
     if len(ps) == 0:
-        return LValue(1 + 0j, sigma, y)
+        return LValue(1 + 0j)
     vals = chi.values(ps)
     w = ps.astype(np.float64) ** (-sigma)
     logs = -np.log(1.0 - vals * w)
-    return LValue(cmath.exp(_fsum_complex(logs)), sigma, y)
+    return LValue(cmath.exp(_fsum_complex(logs)))
 
 
 def logderiv_poly(chi: Character, sigma: float, y: int) -> LValue:
@@ -113,13 +104,13 @@ def logderiv_poly(chi: Character, sigma: float, y: int) -> LValue:
     This is the finite approximation to -L'/L(sigma, chi).
     """
     _check_sigma(sigma)
-    _check_cutoff(y)
+    require_cutoff(y)
     ns, logps = prime_powers_up_to(y)
     if len(ns) == 0:
-        return LValue(0j, sigma, y)
+        return LValue(0j)
     vals = chi.values(ns)  # zero at multiples of q
     w = logps * ns.astype(np.float64) ** (-sigma)
-    return LValue(_fsum_complex(vals * w), sigma, y)
+    return LValue(_fsum_complex(vals * w))
 
 
 def _joint_product(evaluate, chi: Character, ell: int, sigma: float, y: int) -> complex:
@@ -174,7 +165,7 @@ def truncated_l_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
     at most u sum_p p^-sigma.
     """
     _check_sigma(sigma)
-    _check_cutoff(y)
+    require_cutoff(y)
     return group.stored(_truncated_l_vector, sigma, y)
 
 
@@ -192,7 +183,7 @@ def _truncated_l_vector(group: CharacterGroup, sigma: float, y: int) -> np.ndarr
 def prime_sum_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
     """sum_{p <= y, p != q} chi_k(p) p^-sigma for every k (stored, read-only)."""
     _check_sigma(sigma)
-    _check_cutoff(y)
+    require_cutoff(y)
     return group.stored(_prime_sum_vector, sigma, y)
 
 
@@ -206,7 +197,7 @@ def _prime_sum_vector(group: CharacterGroup, sigma: float, y: int) -> np.ndarray
 def logderiv_poly_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
     """The -L'/L polynomial sum_{n <= y} Lambda(n) chi_k(n) n^-sigma, all k (stored)."""
     _check_sigma(sigma)
-    _check_cutoff(y)
+    require_cutoff(y)
     return group.stored(_logderiv_poly_vector, sigma, y)
 
 
@@ -339,7 +330,7 @@ def exact_l(chi: Character, sigma: float) -> LValue:
     if chi.is_principal:
         raise ValueError("the exact oracle is defined for non-principal characters")
     _check_sigma(sigma)
-    return LValue(_exact_l_value(chi, sigma), sigma)
+    return LValue(_exact_l_value(chi, sigma))
 
 
 def exact_l_all(group: CharacterGroup, sigma: float) -> np.ndarray:
@@ -381,4 +372,4 @@ def exact_logderiv(chi: Character, sigma: float, h: float = 1e-4) -> LValue:
 
     d1 = central(h)
     d2 = central(h / 2.0)
-    return LValue((4.0 * d2 - d1) / 3.0, sigma)
+    return LValue((4.0 * d2 - d1) / 3.0)

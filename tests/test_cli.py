@@ -232,13 +232,22 @@ class TestInputErrorsExitTwo:
          "H(sigma=0.75, ell=1100) = 0.0 is not a finite normal double"),
         (["sweep", "--theorem", "1", "--primes", "3..30", "--output", "{dir}/sweep"],
          "primes 3..30 include q=3; the first prime with a default X is 17"),
+        (["run", "{dir}/big_q.json"], "q = 999999999989 must be below 3037000500"),
+        (["run", "{dir}/mersenne_q.json"], "q = 2305843009213693951 must be below 3037000500"),
+        (["run", "{dir}/big_y.json"], "cutoff 1000000000 exceeds the double-precision budget"),
+        (["sweep", "--theorem", "1", "--primes", "100..104", "--margin", "nan"],
+         "endpoint_margin must be >= 0"),
     ], ids=["constants-ell-0", "x-negative", "theorem-3-margin-1.5", "missing-config",
             "run-unwritable-output", "sweep-unwritable-output", "oracle-unwritable-output",
-            "constants-unwritable-output", "constants-h-underflow", "sweep-below-17"])
+            "constants-unwritable-output", "constants-h-underflow", "sweep-below-17",
+            "q-past-dlog-bound", "q-mersenne-61", "y-past-budget", "sweep-margin-nan"])
     def test_exit_two_with_one_error_line(self, tmp_path, capsys, argv, expect):
         (tmp_path / "neg_x.json").write_text('{"theorem": 1, "q": 101, "x": -5}')
         (tmp_path / "margin.json").write_text(
             '{"theorem": 3, "q": 101, "endpoint_margin": 1.5}')
+        (tmp_path / "big_q.json").write_text('{"theorem": 1, "q": 999999999989}')
+        (tmp_path / "mersenne_q.json").write_text('{"theorem": 1, "q": 2305843009213693951}')
+        (tmp_path / "big_y.json").write_text('{"theorem": 1, "q": 101, "y": 1000000000}')
         (tmp_path / "ok.json").write_text(self.CONFIG)
         argv = [a.format(dir=tmp_path) for a in argv]
         try:

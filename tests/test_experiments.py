@@ -83,6 +83,12 @@ class TestDefaultX:
         with pytest.raises(ValueError, match="endpoint_margin"):
             default_x(theorem, 101, margin, sigma)
 
+    @pytest.mark.parametrize("theorem,sigma", [(1, None), (2, 0.75), (3, None), (4, 0.9)])
+    def test_nan_margin_rejected(self, theorem, sigma):
+        # NaN fails every comparison, so the rule is written as the test a margin passes
+        with pytest.raises(ValueError, match="endpoint_margin must be >= 0"):
+            default_x(theorem, 101, math.nan, sigma)
+
     def test_theorem_1_keeps_a_positive_x_at_large_margin(self):
         assert default_x(1, 101, 1.5) > 0
         report = run_theorem(ExperimentConfig(1, 101, 1, endpoint_margin=1.5))
@@ -123,6 +129,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="endpoint_margin"):
             ExperimentConfig(theorem, 101, 1, sigma=sigma, endpoint_margin=1.5).validated()
 
+    @pytest.mark.parametrize("q,y,match", [
+        (999_999_999_989, None, "q = 999999999989 must be below 3037000500"),
+        (2**61 - 1, None, "must be below 3037000500"),  # a prime, refused before trial division
+        (101, 10**9, "cutoff 1000000000 exceeds the double-precision budget"),
+    ], ids=["q-past-dlog-bound", "q-mersenne-61", "y-past-budget"])
+    def test_precision_limits_are_config_errors(self, q, y, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(1, q, 1, y=y).validated()
+
     def test_q_must_be_odd_prime(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(1, 100, 1, x=20.0, y=1000).validated()
@@ -139,6 +154,13 @@ class TestConfigValidation:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"theorem": 1, "q": 101, "bogus": 3}))
         with pytest.raises(ConfigError, match="unknown keys"):
+            config_from_json(str(path))
+
+    def test_json_output_key_is_unknown(self, tmp_path):
+        # where `run` writes is set by --output alone
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"theorem": 1, "q": 101, "output": "out"}))
+        with pytest.raises(ConfigError, match="unknown keys \\['output'\\]"):
             config_from_json(str(path))
 
     def test_json_parse_error_has_line(self, tmp_path):
@@ -618,6 +640,33 @@ class TestWriters:
         assert loaded["q"] == 101
         assert loaded["S2_re"] == report.s2.real
         assert loaded["passed"] is True
+
+
+class TestRecordKeys:
+    """The JSON keys come from the dataclass fields, so a renamed field
+    would rename a key; these sets pin them."""
+
+    def test_theorem_report_keys(self):
+        row = run_theorem(ExperimentConfig(1, 101, 1, x=20.0, y=1000)).to_dict()
+        assert set(row) == {
+            "theorem", "q", "ell", "sigma", "X", "Y", "excluded", "S1", "S2_re", "S2_im",
+            "ratio", "bound", "margin", "argmax_index", "max_value", "near_ties",
+            "certificate", "logderiv_modulus_at_argmax", "oracle_gap", "seconds",
+            "failures", "passed",
+        }
+        assert set(REPORT_COLUMNS) <= set(row)
+
+    def test_oracle_comparison_keys(self):
+        row = oracle_comparison(7, 0.75, (100, 1000)).to_dict()
+        assert set(row) == {
+            "q", "sigma", "y_grid", "indices", "rel_errors", "excluded_near_zero", "decade_max",
+        }
+        assert all(type(e) is float for errs in row["rel_errors"] for e in errs)
+
+    def test_sweep_result_keys(self):
+        row = sweep(1, (100, 104)).to_dict()
+        assert set(row) == {"theorem", "ell", "sigma", "rows", "trend"}
+        assert [r["q"] for r in row["rows"]] == [101, 103]
 
 
 class TestVerificationBattery:
