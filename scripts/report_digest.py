@@ -1,7 +1,15 @@
 #!/usr/bin/env python3
-"""Print one line, `<count> <sha256>`, over the canonical JSON of a fixed set
-of reports, sweep rows and oracle tables.  Two checkouts whose outputs are
-byte-identical print the same line.
+"""Print `<count> <sha256>` over the canonical JSON of a fixed set of
+reports, sweep rows and oracle tables, then the SIMD fingerprint the digest
+depends on.  Two checkouts whose outputs are byte-identical print the same
+first line.
+
+numpy's float64 exp, log and power round differently at each SIMD level it
+dispatches to, so the digest is pinned per fingerprint: the numpy version
+plus the highest x86-64 level (X86_V4, X86_V3, X86_V2) numpy runs at, or on
+other CPUs its highest enabled dispatch target.  `NPY_DISABLE_CPU_FEATURES`
+lowers the level for one process, e.g. "X86_V4 AVX512_ICL AVX512_SPR" for
+X86_V3.
 
 Usage:
     python3 scripts/report_digest.py
@@ -23,6 +31,8 @@ import hashlib
 import json
 import os
 import sys
+
+import numpy as np
 
 # appended, so a PYTHONPATH pointing at another checkout's src/ wins
 sys.path.append(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -65,6 +75,17 @@ def entries():
         yield oracle_comparison(q, 0.75, (100, 1000)).to_dict()
 
 
+def simd_fingerprint() -> str:
+    """`numpy <version> <level>`, the level as in the module docstring."""
+    from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                               __cpu_features__)
+
+    levels = [t for t in ("X86_V4", "X86_V3", "X86_V2") if __cpu_features__.get(t)]
+    levels += [t for t in reversed(__cpu_dispatch__) if __cpu_features__.get(t)]
+    levels += [*reversed(__cpu_baseline__), "none"]
+    return f"numpy {np.__version__} {levels[0]}"
+
+
 def main() -> int:
     digest = hashlib.sha256()
     count = 0
@@ -72,6 +93,7 @@ def main() -> int:
         digest.update(json.dumps(entry, sort_keys=True).encode() + b"\n")
         count += 1
     print(count, digest.hexdigest())
+    print(simd_fingerprint())
     return 0
 
 

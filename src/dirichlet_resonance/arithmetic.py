@@ -5,8 +5,11 @@ every module shares: ``require_positive``, ``require_cutoff``, ``require_odd_pri
 Everything here is exact integer combinatorics plus double-precision prime
 sums.  Long sums are correctly rounded (``math.fsum``, or ``exact_sum`` and
 ``_fsum_complex`` for arrays), so results are reproducible bit-for-bit
-across platforms and call orders.  The cached prime and prime-power arrays
-are read-only, so every caller can share them.
+across platforms and call orders.  The process keeps one prime table and one
+prime-power table, each grown to the largest limit asked for so far;
+``primes_up_to`` and ``prime_powers_up_to`` hand out read-only prefixes of
+them, so every caller can share them.  ``prime_power_tail_constant`` sieves
+its own segments instead, so its 2^22-wide sieve never grows the table.
 """
 
 from __future__ import annotations
@@ -82,31 +85,57 @@ def sieve_primes(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    primes = np.nonzero(sieve)[0].astype(np.int64)
-    primes.setflags(write=False)
-    return PrimeTable(limit, primes)
+    return PrimeTable(limit, _read_only(np.nonzero(sieve)[0].astype(np.int64)))
 
 
-@lru_cache(maxsize=8)
-def _primes_cached(limit: int) -> PrimeTable:
-    return sieve_primes(limit)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class _PrimeStore:
+    """The process's one prime table: every prime up to ``primes.limit`` and
+    every prime power up to ``powers_limit``.  Each is grown, never shrunk,
+    to the largest limit asked for so far; callers get read-only prefixes."""
+
+    def __init__(self):
+        self.primes = PrimeTable(1, _read_only(np.empty(0, dtype=np.int64)))
+        self.powers_limit = 1
+        self.powers = (self.primes.primes, _read_only(np.empty(0, dtype=np.float64)))
+
+
+_STORE = _PrimeStore()
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """Cached prime array for internal reuse, read-only."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    return _primes_cached(int(limit)).primes
+    """The primes up to ``limit``: a read-only prefix of the process's one
+    prime table, which is re-sieved only past its largest limit so far."""
+    limit = int(limit)
+    if limit > _STORE.primes.limit:
+        _STORE.primes = sieve_primes(limit)
+    ps = _STORE.primes.primes
+    return ps[: np.searchsorted(ps, limit, side="right")]
 
 
-@lru_cache(maxsize=8)
 def prime_powers_up_to(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """All prime powers n = p^k <= limit with their von Mangoldt weights.
 
-    Returns (n, log p) as read-only parallel arrays sorted by n.  The primes
-    with p^k <= limit are a prefix, so each power k is one product.
+    Returns (n, log p) as read-only parallel arrays sorted by n: prefixes of
+    the process's one prime-power table, rebuilt only past its largest limit.
     """
-    ps = primes_up_to(limit)  # empty below 2, and so are both results
+    limit = int(limit)
+    if limit > _STORE.powers_limit:
+        _STORE.powers = _prime_power_table(limit)
+        _STORE.powers_limit = limit
+    n, w = _STORE.powers
+    cut = np.searchsorted(n, limit, side="right")
+    return n[:cut], w[:cut]
+
+
+def _prime_power_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p^k, log p) for p^k <= limit, sorted by p^k.  The primes with
+    p^k <= limit are a prefix, so each power k is one product."""
+    ps = primes_up_to(limit)
     logs = np.fromiter(map(math.log, ps.tolist()), np.float64, len(ps))
     ns, ws, power = [ps], [logs], ps
     while True:
@@ -118,10 +147,7 @@ def prime_powers_up_to(limit: int) -> tuple[np.ndarray, np.ndarray]:
         ws.append(logs[: len(power)])
     n = np.concatenate(ns)
     order = np.argsort(n, kind="stable")
-    n, w = n[order], np.concatenate(ws)[order]
-    n.setflags(write=False)
-    w.setflags(write=False)
-    return n, w
+    return _read_only(n[order]), _read_only(np.concatenate(ws)[order])
 
 
 _EXACT_SUM_MIN = 1000  # math.fsum is faster below; both give the same double
@@ -187,7 +213,7 @@ def require_positive(name: str, value: int) -> None:
 def require_cutoff(y: int) -> None:
     """Raise ValueError unless the truncation cutoff y is >= 1, and
     PrecisionError past the double-precision budget of 1e8."""
-    require_positive("truncation cutoff", y)
+    require_positive("the truncation cutoff Y", y)
     if y > 10**8:
         raise PrecisionError(f"cutoff {y} exceeds the double-precision budget (1e8)")
 
@@ -297,9 +323,31 @@ def prime_power_tail_constant(tolerance: float = 1e-6, sieve_limit: int | None =
             f"tolerance {tolerance:g} would need a sieve beyond feasible memory"
         )
     limit = sieve_limit if sieve_limit is not None else _tail_cutoff(tolerance)
-    ps = primes_up_to(limit).astype(np.float64)
-    terms = np.log(ps) / (ps * (ps - 1.0))
-    return math.fsum(terms.tolist())
+    return math.fsum(itertools.chain.from_iterable(
+        (np.log(ps) / (ps * (ps - 1.0))).tolist() for ps in _prime_blocks(limit)))
+
+
+_BLOCK = 1 << 18  # numbers per segment of ``_prime_blocks``
+
+
+def _prime_blocks(limit: int):
+    """The primes up to ``limit`` as float64 arrays, one segment of
+    ``_BLOCK`` numbers at a time, sieved by the primes up to sqrt(limit):
+    O(sqrt(limit) + _BLOCK) memory, and the shared prime table is left as it is."""
+    if limit < 2:
+        return
+    base = sieve_primes(max(2, math.isqrt(limit))).primes.tolist()
+    for lo in range(0, limit + 1, _BLOCK):
+        hi = min(lo + _BLOCK, limit + 1)
+        seg = np.ones(hi - lo, dtype=bool)
+        if lo == 0:
+            seg[:2] = False
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            seg[start - lo :: p] = False
+        yield np.flatnonzero(seg).astype(np.float64) + lo
 
 
 def mertens_product(x: float) -> float:

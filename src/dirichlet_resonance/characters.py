@@ -9,9 +9,16 @@ bitwise conjugate of entry k, which makes conjugate characters evaluate to
 exact conjugates.  ``power_reduce`` indexes every power family chi^j;
 ``eligible`` is the one home of the resonance method's eligibility rule.
 
-Groups are immutable but for ``stored``, which keeps each whole-group vector
-read-only for the group's lifetime; parallel iteration over the character
-index range is the intended parallelism axis everywhere else.
+chi_{q-1-k} = conj(chi_k), so a per-character quantity that is real, or
+conjugates with the character, needs only k <= (q-1)/2: ``power_reduce``
+with ``half`` reduces a whole-group base vector onto those indices, and
+``group_sum`` sums such a half over the whole group.  The base vectors
+themselves and the ``eligible`` mask (a user's exclusions need not be
+symmetric) stay whole-group.
+
+Groups are immutable but for ``stored``, which keeps each vector read-only
+for the group's lifetime; parallel iteration over the character index range
+is the intended parallelism axis everywhere else.
 """
 
 from __future__ import annotations
@@ -21,12 +28,14 @@ import math
 
 import numpy as np
 
-from .arithmetic import DiscreteLogTable, _fsum_complex, build_dlog, require_positive
+from .arithmetic import (DiscreteLogTable, _fsum_complex, build_dlog, exact_sum,
+                         require_positive)
 
 __all__ = [
     "CharacterGroup",
     "Character",
     "eligible",
+    "group_sum",
     "orthogonality_sum",
     "power_reduce",
 ]
@@ -135,15 +144,26 @@ class Character:
         return f"Character(q={self.group.q}, index={self.index})"
 
 
-def power_reduce(vec: np.ndarray, ell: int, op) -> np.ndarray:
+def power_reduce(vec: np.ndarray, ell: int, op, half: bool = False) -> np.ndarray:
     """out[k] = the ``op``-reduction (np.multiply, np.add, np.logical_or) of
-    vec[(k*j) mod order] over j = 1..ell, by the rule chi_k^j = chi_{kj}."""
+    vec[(k*j) mod order] over j = 1..ell, by the rule chi_k^j = chi_{kj},
+    for every k, or with ``half`` for k <= order/2 only (``vec`` stays
+    whole-group)."""
     order = len(vec)
-    ks = np.arange(order, dtype=np.int64)
-    out = vec.copy()
+    ks = np.arange(order // 2 + 1 if half else order, dtype=np.int64)
+    out = vec[: len(ks)].copy()
     for j in range(2, ell + 1):
         op(out, vec[(ks * j) % order], out=out)
     return out
+
+
+def group_sum(half: np.ndarray) -> float:
+    """The correctly rounded sum over all q-1 characters of a real vector
+    given on k <= (q-1)/2 whose entries at k and q-1-k are equal:
+    t_0 + 2 (t_1 + ... + t_{N/2-1}) + t_{N/2}, N = q-1, doubling being exact."""
+    folded = 2.0 * half
+    folded[[0, -1]] = half[[0, -1]]
+    return exact_sum(folded)
 
 
 def eligible(group: CharacterGroup, ell: int, excluded: tuple[int, ...] = ()) -> np.ndarray:

@@ -21,6 +21,13 @@ violated inequality, S1 < phi(q), a non-negligible Im S2 or a non-finite
 value is never silent: it lands in the report's ``failures`` with all
 operands, and the report as a whole is marked failed.
 
+|R(chi)|^2, the joint product and the S2 summands come for k <= (q-1)/2
+only: chi_{q-1-k} = conj(chi_k) and the resonator is real, so S1 and Re S2
+are ``characters.group_sum``s of those halves, Im S2 is +0.0 (nan once a
+summand is not finite), and the argmax, near ties, excluded sum and
+modulus at the argmax read character k at index min(k, q-1-k).  The
+eligible mask stays whole-group, so an asymmetric ``excluded`` is honoured.
+
 Identical configurations produce identical reports (bit-stable given the
 fixed reduction strategy) except for the wall-time field.
 """
@@ -35,9 +42,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arithmetic import (_fsum_complex, primes_up_to, require_cutoff, require_odd_prime,
-                         require_positive)
-from .characters import CharacterGroup, eligible
+from .arithmetic import primes_up_to, require_cutoff, require_odd_prime, require_positive
+from .characters import CharacterGroup, eligible, group_sum
 from .constants import (
     default_strip_epsilon,
     max_ell_for_sigma,
@@ -124,7 +130,8 @@ class ExperimentConfig:
 
     def validated(self) -> "ExperimentConfig":
         """Check types and invariants and fill derived defaults for x and y;
-        a shared rule checker's ValueError is raised as ConfigError."""
+        a shared rule checker's ValueError is raised as ConfigError.  y may
+        be a float only when it is integral (1e6, not 1000.7)."""
         for name in ("theorem", "q", "ell"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -132,6 +139,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (_is_real(value) and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if self.y is not None and self.y != int(self.y):
+            raise ConfigError(f"y must be an integer, got {self.y!r}")
         if not (isinstance(self.excluded, (list, tuple)) and all(map(_is_int, self.excluded))):
             raise ConfigError(f"excluded must be a list of integers, got {self.excluded!r}")
         if self.theorem not in (1, 2, 3, 4):
@@ -158,8 +167,8 @@ class ExperimentConfig:
                 raise ValueError(f"X must be > 0, got {x}")
             if y is None:
                 y = max(1000, int(math.ceil(x)))
-            require_y_covers_x(x, y)
             require_cutoff(y)
+            require_y_covers_x(x, y)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if any(not (0 <= e) for e in self.excluded):
@@ -300,6 +309,19 @@ def _bound_for(config: ExperimentConfig, kernel) -> float:
     return bound_logderiv_product(kernel, config.ell)
 
 
+def _half_index(ks, order: int):
+    """Where a vector kept for k <= order/2 holds chi_k: chi_{order-k} = conj(chi_k)."""
+    return np.minimum(ks, order - ks)
+
+
+def _s2_sum(terms: np.ndarray) -> complex:
+    """S2 from its summands for k <= (q-1)/2.  The real part is their
+    ``group_sum``; the imaginary part is +0.0, conjugate pairs cancelling
+    exactly, or nan once a summand's imaginary part is not finite."""
+    imag = 0.0 if np.isfinite(terms.imag).all() else math.nan
+    return complex(group_sum(terms.real), imag)
+
+
 def run_theorem(config: ExperimentConfig) -> TheoremReport:
     """The one evaluation path for a configuration: S1, S2, ratio, bound,
     the extremal character and the certificate.  Inequality violations and
@@ -313,7 +335,7 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
 
     terms = s2_terms(group, _TARGETS[config.theorem], config.ell, kernel, config.y)
     s1_val = s1(group, kernel)
-    s2_val = _fsum_complex(terms)
+    s2_val = _s2_sum(terms)
     ratio = s2_val.real / s1_val
     bound = _bound_for(config, kernel)
     margin = ratio - bound
@@ -327,17 +349,19 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
     prod = joint_product(group, "l-product" if on_line else "logderiv-product", config.ell,
                          sigma_eff, config.y)
     vals = np.abs(prod) if on_line else prod.real
-    argmax_index = int(members[np.argmax(vals[members])])  # the first maximum
-    max_value = float(vals[argmax_index])
+    member_vals = vals[_half_index(members, group.order)]
+    first = int(np.argmax(member_vals))  # the first maximum
+    argmax_index = int(members[first])
+    max_value = float(member_vals[first])
     tie_cut = max_value - _TIE_TOL * max(1.0, abs(max_value))
-    near_ties = tuple(np.flatnonzero(mask & (vals >= tie_cut)).tolist())
+    near_ties = tuple(members[member_vals >= tie_cut].tolist())
 
-    excluded_sum = math.fsum(terms.real[~mask])
+    excluded_sum = math.fsum(terms.real[_half_index(np.flatnonzero(~mask), group.order)])
     certificate = (s2_val.real - excluded_sum) / s1_val
 
     logderiv_mod = None
     if not on_line:
-        logderiv_mod = float(np.abs(prod)[argmax_index])
+        logderiv_mod = float(np.abs(prod)[_half_index(argmax_index, group.order)])
 
     oracle_gap = None
     if on_line and config.q <= _ORACLE_MAX_Q:

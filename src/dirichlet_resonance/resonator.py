@@ -14,14 +14,18 @@ skipping keeps the principal character on the same code path.
 (1 - r)^2 + 4 r sin^2(theta/2) from one mirrored half-angle table, so no
 complex character values are formed, and multiplies the factors into one
 running product one prime at a time: the working set is O(q) whatever the
-number of primes.  The scalar ``resonator_sq`` keeps the root-table
-evaluation as the reference it is tested against.
+number of primes.  The kernel's r(p) are real, so |R(conj chi)|^2 =
+|R(chi)|^2: the weights, like the joint products and S2 summands below, are
+kept for k <= (q-1)/2 only, and chi_{q-1-k} = conj(chi_k) reads entry k.
+The scalar ``resonator_sq`` keeps the root-table evaluation as the
+reference it is tested against.
 
-S1 = sum_chi |R(chi)|^2 collapses by orthogonality to a congruence sum
+S1 = sum_chi |R(chi)|^2, the ``characters.group_sum`` of the half,
+collapses by orthogonality to a congruence sum
 phi(q) * sum_{m = n mod q, (n,q)=1} r(m) r(n) over smooth integers, which
 ``s1_congruence_oracle`` evaluates directly as an independent check.
 
-``joint_product`` gives one of three target weights for every character:
+``joint_product`` gives one of three target weights for k <= (q-1)/2:
 
     l-product:          prod_{j<=ell} L(sigma, chi^j; Y)
     prime-sum:          sum_{j<=ell} sum_{p<=Y} chi(p)^j p^-sigma
@@ -30,9 +34,8 @@ phi(q) * sum_{m = n mod q, (n,q)=1} r(m) r(n) over smooth integers, which
 Each is one whole-group base vector reduced over the power family by
 ``characters.power_reduce`` and stored on the group; the extremal search
 reads it, and ``s2_terms`` multiplies it by |R(chi)|^2.  The complex S2
-summands are summed by ``experiments.run_theorem``, which reports a failure
-when the imaginary part is not negligible (trusting conjugate symmetry
-silently would hide character-indexing bugs) and reduces to the real part.
+summands are summed by ``experiments.run_theorem``: the conjugate pairs
+make S2 real, and a non-finite summand makes its imaginary part nan.
 X is real-valued; kernel support compares primes by p <= floor(X).  The
 hypotheses on sigma and ell are checked by ``constants.require_strip_sigma``,
 ``constants.require_strip_ell`` and ``arithmetic.require_positive``.
@@ -46,8 +49,8 @@ from typing import Union
 
 import numpy as np
 
-from .arithmetic import exact_sum, harmonic, primes_up_to, require_positive
-from .characters import Character, CharacterGroup, power_reduce
+from .arithmetic import harmonic, primes_up_to, require_positive
+from .characters import Character, CharacterGroup, group_sum, power_reduce
 # max_ell_for_sigma is not used here; tests/test_acceptance.py imports it from here
 from .constants import (factorial_ratio, max_ell_for_sigma, require_finite,  # noqa: F401
                         require_strip_ell, require_strip_sigma)
@@ -139,13 +142,13 @@ def resonator_sq(chi: Character, kernel: ResonanceKernel) -> float:
 
 
 def resonator_sq_all(group: CharacterGroup, kernel: ResonanceKernel) -> np.ndarray:
-    """|R(chi_k)|^2 for every character index k, in real arithmetic (stored, read-only).
+    """|R(chi_k)|^2 for k <= N/2, N = q - 1, in real arithmetic (stored, read-only).
 
-    With chi_k(p) = e^{i theta}, theta = 2 pi k dlog(p)/N and N = q - 1,
-    each factor is |1 - r e^{i theta}|^2 = (1 - r)^2 + 4 r sin^2(theta/2).
-    Both terms are >= 0, so nothing cancels as r -> 1.  sin^2(pi e/N) is
-    tabulated for e <= N/2 and mirrored, so sin2[N - e] == sin2[e] bitwise
-    and conjugate characters get bitwise-equal weights.
+    With chi_k(p) = e^{i theta}, theta = 2 pi k dlog(p)/N, each factor is
+    |1 - r e^{i theta}|^2 = (1 - r)^2 + 4 r sin^2(theta/2).  Both terms are
+    >= 0, so nothing cancels as r -> 1.  sin^2(pi e/N) is tabulated for
+    e <= N/2 and mirrored, so sin2[N - e] == sin2[e] bitwise: the weight of
+    chi_{N-k} = conj(chi_k) equals that of chi_k, and k <= N/2 covers the group.
     """
     return group.stored(_resonator_sq_vector, kernel)
 
@@ -153,18 +156,18 @@ def resonator_sq_all(group: CharacterGroup, kernel: ResonanceKernel) -> np.ndarr
 def _resonator_sq_vector(group: CharacterGroup, kernel: ResonanceKernel) -> np.ndarray:
     ps, rv = _support(kernel, exclude_q=group.q)
     order = group.order
-    if len(ps) == 0:
-        return np.ones(order, dtype=np.float64)
     half = order // 2
+    if len(ps) == 0:
+        return np.ones(half + 1, dtype=np.float64)
     sin2 = np.empty(order, dtype=np.float64)
     sin2[: half + 1] = np.sin(np.pi * np.arange(half + 1) / order) ** 2
     sin2[half + 1 :] = sin2[1 : order - half][::-1]
     d = group.dlog.dlog[ps % group.q]
-    ks = np.arange(order, dtype=np.int64)
-    e = np.empty(order, dtype=np.int64)
-    t = np.empty(order, dtype=np.int64)
-    f = np.empty(order, dtype=np.float64)
-    prod = np.ones(order, dtype=np.float64)
+    ks = np.arange(half + 1, dtype=np.int64)
+    e = np.empty_like(ks)
+    t = np.empty_like(ks)
+    f = np.empty(half + 1, dtype=np.float64)
+    prod = np.ones(half + 1, dtype=np.float64)
     # one prime at a time, in prime order: the same roundings as a
     # prime-major P x N product over axis 0, in O(N) memory
     for dp, scale, shift in zip(d.tolist(), (4.0 * rv).tolist(), ((1.0 - rv) ** 2).tolist()):
@@ -181,7 +184,7 @@ def _resonator_sq_vector(group: CharacterGroup, kernel: ResonanceKernel) -> np.n
 
 def s1(group: CharacterGroup, kernel: ResonanceKernel) -> float:
     """S1 = sum over all phi(q) characters of |R(chi)|^2; always >= phi(q)."""
-    return exact_sum(resonator_sq_all(group, kernel))
+    return group_sum(resonator_sq_all(group, kernel))
 
 
 @dataclass(frozen=True)
@@ -249,8 +252,9 @@ def require_y_covers_x(x: float, y: float) -> None:
 
 def joint_product(group: CharacterGroup, target: str, ell: int, sigma: float,
                   y: int) -> np.ndarray:
-    """The ``target``'s base vector reduced over chi_k, ..., chi_k^ell by
-    ``power_reduce``, for every character index k (stored, read-only)."""
+    """The ``target``'s whole-group base vector reduced over chi_k, ...,
+    chi_k^ell by ``power_reduce``, for k <= (q-1)/2 (stored, read-only);
+    chi_{q-1-k} gets the exact conjugate."""
     require_positive("ell", ell)
     return group.stored(_joint_product_vector, target, ell, sigma, y)
 
@@ -259,17 +263,18 @@ def _joint_product_vector(group: CharacterGroup, target: str, ell: int, sigma: f
                           y: int) -> np.ndarray:
     # an if-chain, not a module-level table, so each base is read as a module name per call
     if target == "l-product":
-        return power_reduce(truncated_l_all(group, sigma, y), ell, np.multiply)
+        return power_reduce(truncated_l_all(group, sigma, y), ell, np.multiply, half=True)
     if target == "prime-sum":
-        return power_reduce(prime_sum_all(group, sigma, y), ell, np.add)
+        return power_reduce(prime_sum_all(group, sigma, y), ell, np.add, half=True)
     if target == "logderiv-product":
-        return power_reduce(logderiv_poly_all(group, sigma, y), ell, np.multiply)
+        return power_reduce(logderiv_poly_all(group, sigma, y), ell, np.multiply, half=True)
     raise ValueError(f"unknown S2 target {target!r}")
 
 
 def s2_terms(group: CharacterGroup, target: str, ell: int,
              kernel: ResonanceKernel, y: int) -> np.ndarray:
-    """Per-character S2 summands (complex), indexed by character index.
+    """Per-character S2 summands (complex) for k <= (q-1)/2; the summand
+    of chi_{q-1-k} is the exact conjugate of that of chi_k.
 
     ``run_theorem`` sums these for S2 and subtracts the excluded characters'
     terms from the same numbers for the certificate.

@@ -208,6 +208,14 @@ class TestPrimePowerTailConstant:
         b = prime_power_tail_constant(tol, sieve_limit=2 * base_limit)
         assert abs(a - b) < tol
 
+    @pytest.mark.parametrize("limit", [3, 100003, 1 << 22, 1 << 24])
+    def test_segmented_sum_has_the_bits_of_one_sieve(self, fresh_store, limit):
+        ps = sieve_primes(limit).primes.astype(np.float64)
+        whole = math.fsum((np.log(ps) / (ps * (ps - 1.0))).tolist())
+        got = prime_power_tail_constant.__wrapped__(1e-6, sieve_limit=limit)  # uncached
+        assert got.hex() == whole.hex()
+        assert arithmetic._STORE.primes.limit == 1  # the shared prime table did not grow
+
     def test_precision_error(self):
         with pytest.raises(PrecisionError):
             prime_power_tail_constant(1e-9)
@@ -235,10 +243,14 @@ class TestMertensProduct:
             mertens_product(2)
 
 
+def fresh_primes(limit):
+    return sieve_primes(limit).primes if limit >= 2 else np.empty(0, dtype=np.int64)
+
+
 def loop_prime_powers(limit):
     """The per-prime Python loop the vectorised table replaced."""
     ns, ws = [], []
-    for p in arithmetic.primes_up_to(limit):
+    for p in fresh_primes(limit):
         p = int(p)
         lp = math.log(p)
         n = p
@@ -250,16 +262,59 @@ def loop_prime_powers(limit):
     return np.asarray(ns, dtype=np.int64)[order], np.asarray(ws, dtype=np.float64)[order]
 
 
+@pytest.fixture
+def fresh_store(monkeypatch):
+    """An empty process prime table for the test, so it grows from scratch."""
+    monkeypatch.setattr(arithmetic, "_STORE", arithmetic._PrimeStore())
+
+
 class TestPrimePowersUpTo:
     @pytest.mark.parametrize("limits", [range(3000), (10**4, 10**5 + 3, 10**6)],
                              ids=["below-3000", "1e4-1e5+3-1e6"])
-    def test_matches_the_python_loop_bitwise(self, limits):
+    def test_matches_the_python_loop_bitwise(self, fresh_store, limits):
         for limit in limits:
-            ns, ws = prime_powers_up_to.__wrapped__(limit)  # bypass the small cache
+            for ns, ws in (prime_powers_up_to(limit), arithmetic._prime_power_table(limit)):
+                ref_ns, ref_ws = loop_prime_powers(limit)
+                assert ns.dtype == ref_ns.dtype and ws.dtype == ref_ws.dtype, limit
+                assert np.array_equal(ns, ref_ns), limit
+                assert np.array_equal(ws.view(np.int64), ref_ws.view(np.int64)), limit
+
+
+_LIMITS = (0, 1, 2, 3, 4, 10, 97, 100, 1000, 4096, 10**4 + 7, 65537)
+
+
+class TestSharedPrimeTable:
+    """primes_up_to and prime_powers_up_to are prefixes of one table per
+    process, grown to the largest limit asked for so far."""
+
+    @pytest.mark.parametrize("limits", [_LIMITS, _LIMITS[::-1],
+                                        (1000, 10, 1000, 1000, 2, 65537, 65537, 3, 1000)],
+                             ids=["ascending", "descending", "repeated"])
+    def test_prefixes_match_a_fresh_sieve_and_the_loop(self, fresh_store, limits):
+        for limit in limits:
+            ps = primes_up_to(limit)
+            ns, ws = prime_powers_up_to(limit)
             ref_ns, ref_ws = loop_prime_powers(limit)
-            assert ns.dtype == ref_ns.dtype and ws.dtype == ref_ws.dtype, limit
-            assert np.array_equal(ns, ref_ns), limit
-            assert np.array_equal(ws.view(np.int64), ref_ws.view(np.int64)), limit
+            assert ps.dtype == np.int64 and ps.tobytes() == fresh_primes(limit).tobytes(), limit
+            assert ns.dtype == ref_ns.dtype and ns.tobytes() == ref_ns.tobytes(), limit
+            assert ws.dtype == ref_ws.dtype and ws.tobytes() == ref_ws.tobytes(), limit
+            for table in (ps, ns, ws):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[:1] = 0
+
+    def test_grown_only_past_its_largest_limit(self, fresh_store):
+        primes_up_to(1000)
+        table = arithmetic._STORE.primes
+        assert table.limit == 1000
+        for limit in (10, 999, 1000, 2, 0):
+            primes_up_to(limit)
+            assert arithmetic._STORE.primes is table
+        assert primes_up_to(1001)[-1] == 997 and arithmetic._STORE.primes.limit == 1001
+        prime_powers_up_to(500)
+        powers = arithmetic._STORE.powers
+        prime_powers_up_to(100)
+        assert arithmetic._STORE.powers is powers and arithmetic._STORE.powers_limit == 500
+        assert arithmetic._STORE.primes.limit == 1001  # built from the prime table's prefix
 
 
 def same_double(a, b):

@@ -120,8 +120,8 @@ class TestRunCommand:
         assert "FAIL" in out and "non-finite values: S1=inf" in out
 
     def test_im_s2_failure_is_reported(self, tmp_path, capsys, monkeypatch):
-        fsum = experiments._fsum_complex
-        monkeypatch.setattr(experiments, "_fsum_complex", lambda arr: fsum(arr) + 1j)
+        s2_sum = experiments._s2_sum
+        monkeypatch.setattr(experiments, "_s2_sum", lambda terms: s2_sum(terms) + 1j)
         cfg = self._write_config(
             tmp_path, {"theorem": 1, "q": 101, "ell": 1, "x": 20.0, "y": 1000}
         )
@@ -144,8 +144,8 @@ class TestSweepCommand:
         assert len(rows) == 21  # pi(200) - pi(100)
 
     def test_im_s2_failure_keeps_every_row(self, tmp_path, capsys, monkeypatch):
-        fsum = experiments._fsum_complex
-        monkeypatch.setattr(experiments, "_fsum_complex", lambda arr: fsum(arr) + 1j)
+        s2_sum = experiments._s2_sum
+        monkeypatch.setattr(experiments, "_s2_sum", lambda terms: s2_sum(terms) + 1j)
         code, out, _ = run_cli(
             ["sweep", "--theorem", "1", "--primes", "100..200", "--output", str(tmp_path)],
             capsys,
@@ -237,10 +237,15 @@ class TestInputErrorsExitTwo:
         (["run", "{dir}/big_y.json"], "cutoff 1000000000 exceeds the double-precision budget"),
         (["sweep", "--theorem", "1", "--primes", "100..104", "--margin", "nan"],
          "endpoint_margin must be >= 0"),
+        (["run", "{dir}/y_fraction.json"], "y must be an integer, got 1000.7"),
+        (["run", "{dir}/y_fraction_below_x.json"], "y must be an integer, got 20.5"),
+        (["sweep", "--theorem", "1", "--primes", "100..104", "--Y", "0"],
+         "Y must be >= 1, got 0"),
     ], ids=["constants-ell-0", "x-negative", "theorem-3-margin-1.5", "missing-config",
             "run-unwritable-output", "sweep-unwritable-output", "oracle-unwritable-output",
             "constants-unwritable-output", "constants-h-underflow", "sweep-below-17",
-            "q-past-dlog-bound", "q-mersenne-61", "y-past-budget", "sweep-margin-nan"])
+            "q-past-dlog-bound", "q-mersenne-61", "y-past-budget", "sweep-margin-nan",
+            "y-not-integral", "y-not-integral-below-x", "sweep-y-0"])
     def test_exit_two_with_one_error_line(self, tmp_path, capsys, argv, expect):
         (tmp_path / "neg_x.json").write_text('{"theorem": 1, "q": 101, "x": -5}')
         (tmp_path / "margin.json").write_text(
@@ -248,6 +253,9 @@ class TestInputErrorsExitTwo:
         (tmp_path / "big_q.json").write_text('{"theorem": 1, "q": 999999999989}')
         (tmp_path / "mersenne_q.json").write_text('{"theorem": 1, "q": 2305843009213693951}')
         (tmp_path / "big_y.json").write_text('{"theorem": 1, "q": 101, "y": 1000000000}')
+        (tmp_path / "y_fraction.json").write_text('{"theorem": 1, "q": 101, "y": 1000.7}')
+        (tmp_path / "y_fraction_below_x.json").write_text(
+            '{"theorem": 1, "q": 101, "x": 20.3, "y": 20.5}')
         (tmp_path / "ok.json").write_text(self.CONFIG)
         argv = [a.format(dir=tmp_path) for a in argv]
         try:

@@ -45,6 +45,7 @@ from dirichlet_resonance.resonator import (
     resonator_sq_all,
     s2_terms,
 )
+from full_group import unfold
 
 LOG4 = math.log(4.0)
 
@@ -128,6 +129,21 @@ class TestConfigValidation:
         # a factor 1 - 1.5 would put X at -2.55 (theorem 3) and -1.95 (theorem 4)
         with pytest.raises(ConfigError, match="endpoint_margin"):
             ExperimentConfig(theorem, 101, 1, sigma=sigma, endpoint_margin=1.5).validated()
+
+    @pytest.mark.parametrize("y", [1000.7, 20.5, -0.5])
+    def test_y_must_be_integral(self, y):
+        with pytest.raises(ConfigError, match=f"y must be an integer, got {y!r}"):
+            ExperimentConfig(1, 101, 1, x=20.3, y=y).validated()
+
+    @pytest.mark.parametrize("y", [1000.0, 1e6])
+    def test_integral_float_y_is_accepted(self, y):
+        cfg = ExperimentConfig(1, 101, 1, x=20.0, y=y).validated()
+        assert cfg.y == int(y) and type(cfg.y) is int
+
+    def test_y_below_one_fails_on_its_own_rule(self):
+        # not on X <= Y, which Y = 0 breaks as well
+        with pytest.raises(ConfigError, match="Y must be >= 1, got 0"):
+            ExperimentConfig(1, 101, 1, x=20.0, y=0).validated()
 
     @pytest.mark.parametrize("q,y,match", [
         (999_999_999_989, None, "q = 999999999989 must be below 3037000500"),
@@ -273,8 +289,8 @@ class TestFailuresAreReported:
         assert "S1 = 1.0 fell below phi(q) = 100" in report.failures
 
     def test_im_s2_not_negligible(self, monkeypatch):
-        fsum = experiments._fsum_complex
-        monkeypatch.setattr(experiments, "_fsum_complex", lambda arr: fsum(arr) + 1j)
+        s2_sum = experiments._s2_sum
+        monkeypatch.setattr(experiments, "_s2_sum", lambda terms: s2_sum(terms) + 1j)
         report = run_theorem(ExperimentConfig(1, 101, 1, x=20.0, y=1000))
         assert not report.passed and report.s2.imag == 1.0
         [failure] = report.failures
@@ -342,7 +358,7 @@ class TestMaskBookkeeping:
         else:
             kernel = SigmaKernel(cfg.x, cfg.sigma)
         target = experiments._TARGETS[cfg.theorem]
-        terms = s2_terms(group, target, ell, kernel, cfg.y)
+        terms = unfold(s2_terms(group, target, ell, kernel, cfg.y))
         if cfg.theorem in (1, 2):
             vals = np.abs(power_reduce(truncated_l_all(group, kernel.sigma, cfg.y), ell, np.multiply))
         else:
@@ -444,9 +460,9 @@ class TestWholeGroupVectorsComputedOnce:
         # search share; theorem 2's prime-sum S2 weight is a second product
         count = Counter()
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             count["power_reduce"] += 1
-            return power_reduce(*args)
+            return power_reduce(*args, **kwargs)
 
         sites = [module for name, module in sorted(sys.modules.items())
                  if name.startswith("dirichlet_resonance")
@@ -479,8 +495,9 @@ class TestWholeGroupVectorsComputedOnce:
 
 
 class TestReportSumsAreCorrectlyRounded:
-    """S1 and S2 of a run are the math.fsum of the whole-group vectors, on
-    both sides of exact_sum's cut-off (q - 1 = 100, 1008, 10006)."""
+    """S1 and S2 of a run are the math.fsum of the whole-group vectors,
+    unfolded from their k <= (q-1)/2 halves, on both sides of exact_sum's
+    cut-off (q - 1 = 100, 1008, 10006)."""
 
     @pytest.mark.parametrize("q", [101, 1009, 10007])
     @pytest.mark.parametrize("theorem,sigma", [(1, None), (2, 0.9), (3, None), (4, 0.9)])
@@ -489,8 +506,8 @@ class TestReportSumsAreCorrectlyRounded:
         cfg = ExperimentConfig(theorem, q, 1, sigma=sigma).validated()
         kernel = LinearKernel(cfg.x) if theorem in (1, 3) else SigmaKernel(cfg.x, cfg.sigma)
         group = CharacterGroup(q)
-        rsq = resonator_sq_all(group, kernel)
-        terms = s2_terms(group, experiments._TARGETS[theorem], 1, kernel, cfg.y)
+        rsq = unfold(resonator_sq_all(group, kernel))
+        terms = unfold(s2_terms(group, experiments._TARGETS[theorem], 1, kernel, cfg.y))
         assert report.s1.hex() == math.fsum(rsq.tolist()).hex()
         assert report.s2.real.hex() == math.fsum(terms.real.tolist()).hex()
         assert report.s2.imag.hex() == math.fsum(terms.imag.tolist()).hex()

@@ -32,6 +32,7 @@ from dirichlet_resonance.resonator import (
     s1_congruence_oracle,
     s2_terms,
 )
+from full_group import full_resonator_sq, unfold
 
 S1_CLOSED_FORM = 4.0 * (81.0 / 80.0) ** 2 * (820.0 / 729.0)
 
@@ -138,7 +139,7 @@ class TestResonatorSq:
 
     def test_all_matches_scalar(self, g7):
         kernel = SigmaKernel(6.0, 0.8)
-        vec = resonator_sq_all(g7, kernel)
+        vec = unfold(resonator_sq_all(g7, kernel))
         for k in range(g7.order):
             assert vec[k] == pytest.approx(
                 resonator_sq(g7.character(k), kernel), rel=1e-13
@@ -149,7 +150,7 @@ class TestResonatorSq:
     def test_half_angle_matches_gather_and_scalar(self, data, q, x):
         kernel = data.draw(_kernels(x))
         group = CharacterGroup(q)
-        got = resonator_sq_all(group, kernel)
+        got = unfold(resonator_sq_all(group, kernel))
         ps, rv = _support(kernel, q)
         tol = _rsq_rel_bound(rv)
         mat = group.values_matrix(ps)
@@ -163,30 +164,16 @@ class TestResonatorSq:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data(), q=st.sampled_from(_ODD_PRIMES), x=st.floats(2.0, 80.0))
     def test_conjugates_and_repeats_are_exact(self, data, q, x):
+        # the half k <= N/2 is all there is: the prime-major product over the
+        # whole group gives chi_{N-k} the bits of chi_k
         kernel = data.draw(_kernels(x))
         group = CharacterGroup(q)
         vec = resonator_sq_all(group, kernel)
+        full = full_resonator_sq(group, kernel)
         ks = np.arange(group.order)
-        assert np.array_equal(vec[(-ks) % group.order], vec)
+        assert np.array_equal(full[(-ks) % group.order], full)
+        assert unfold(vec).tobytes() == full.tobytes()
         assert resonator_sq_all(CharacterGroup(q), kernel).tobytes() == vec.tobytes()
-
-
-def _prime_major_rsq(group, kernel):
-    """|R(chi)|^2 from every factor at once: a prime-major P x N array
-    multiplied over axis 0, row after row.  The streamed product in
-    ``resonator_sq_all`` must reproduce it bit for bit."""
-    ps, rv = _support(kernel, group.q)
-    order = group.order
-    if len(ps) == 0:
-        return np.ones(order)
-    half = order // 2
-    sin2 = np.empty(order)
-    sin2[: half + 1] = np.sin(np.pi * np.arange(half + 1) / order) ** 2
-    sin2[half + 1 :] = sin2[1 : order - half][::-1]
-    d = group.dlog.dlog[ps % group.q]
-    e = (d[:, None] * np.arange(order, dtype=np.int64)[None, :]) % order
-    factors = sin2[e] * (4.0 * rv)[:, None] + ((1.0 - rv) ** 2)[:, None]
-    return 1.0 / np.prod(factors, axis=0)
 
 
 _stream_group = functools.cache(CharacterGroup)
@@ -199,15 +186,15 @@ class TestResonatorSqStreaming:
     def test_bitwise_equal_to_prime_major_product(self, q, x, sigma):
         kernel = LinearKernel(x) if sigma is None else SigmaKernel(x, sigma)
         group = _stream_group(q)
-        got = resonator_sq_all(group, kernel)
-        assert got.tobytes() == _prime_major_rsq(group, kernel).tobytes()
+        got = unfold(resonator_sq_all(group, kernel))
+        assert got.tobytes() == full_resonator_sq(group, kernel).tobytes()
 
     @pytest.mark.parametrize("q", [101, 10007])
     def test_empty_support_is_all_ones(self, q):
         group = _stream_group(q)
-        got = resonator_sq_all(group, LinearKernel(1.5))
+        got = unfold(resonator_sq_all(group, LinearKernel(1.5)))
         assert got.tobytes() == np.ones(group.order).tobytes()
-        assert got.tobytes() == _prime_major_rsq(group, LinearKernel(1.5)).tobytes()
+        assert got.tobytes() == full_resonator_sq(group, LinearKernel(1.5)).tobytes()
 
 
 def test_resonator_sq_working_set_does_not_grow_with_primes():
@@ -292,7 +279,8 @@ class TestJointProduct:
         got = joint_product(group, target, 3, 0.9, 500)
         assert got is joint_product(group, target, 3, 0.9, 500)
         assert not got.flags.writeable
-        assert got.tobytes() == power_reduce(base(group, 0.9, 500), 3, op).tobytes()
+        full = power_reduce(base(group, 0.9, 500), 3, op)
+        assert got.tobytes() == full[: group.order // 2 + 1].tobytes()
 
     def test_input_checked_before_anything_is_stored(self):
         group = CharacterGroup(7)
