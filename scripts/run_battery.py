@@ -5,7 +5,7 @@ kernel lengths, and write one CSV row per run.
 Usage:
     python3 scripts/run_battery.py [--out results/battery.csv]
 
-The grid mirrors the acceptance battery: q in {101, 211, 499, 1009},
+The grid is ``experiments.battery_configs``: q in {101, 211, 499, 1009},
 ell in {1, 2, 3}, X in {20, 50}, Y = 1000, sigma in {0.75, 0.9} for the
 strip targets (with the strip logderiv ell cap enforced).
 """
@@ -16,12 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dirichlet_resonance.experiments import (
-    ExperimentConfig,
-    run_theorem,
-    write_reports_csv,
-)
-from dirichlet_resonance.constants import max_ell_for_sigma
+from dirichlet_resonance.experiments import battery_configs, run_theorem, write_reports_csv
 
 
 def main() -> int:
@@ -30,22 +25,8 @@ def main() -> int:
     parser.add_argument("--qs", type=int, nargs="+", default=[101, 211, 499, 1009])
     args = parser.parse_args()
 
-    configs = []
-    for q in args.qs:
-        for ell in (1, 2, 3):
-            for x in (20.0, 50.0):
-                configs.append(ExperimentConfig(1, q, ell, x=x, y=1000))
-                configs.append(ExperimentConfig(3, q, ell, x=x, y=1000))
-                for sigma in (0.75, 0.9):
-                    configs.append(ExperimentConfig(2, q, ell, x=x, y=1000, sigma=sigma))
-                    if ell <= max_ell_for_sigma(sigma):
-                        configs.append(
-                            ExperimentConfig(4, q, ell, x=x, y=1000, sigma=sigma)
-                        )
-
     reports = []
-    failures = 0
-    for config in configs:
+    for config in battery_configs(args.qs, (1, 2, 3), (20.0, 50.0), (0.75, 0.9)):
         rep = run_theorem(config)
         reports.append(rep)
         flag = "" if rep.passed else "  <-- FAIL"
@@ -53,7 +34,7 @@ def main() -> int:
             f"thm {rep.theorem} q={rep.q:5d} ell={rep.ell} X={rep.x:4.0f} "
             f"sigma={rep.sigma if rep.sigma else 1.0:.2f}: margin {rep.margin:12.6g}{flag}"
         )
-        failures += not rep.passed
+    failures = sum(not rep.passed for rep in reports)
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     write_reports_csv(args.out, reports)

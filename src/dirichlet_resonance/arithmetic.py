@@ -1,6 +1,7 @@
-"""The prime sieve and prime-power table, discrete logs, smooth numbers and
-the classical prime sums behind the resonance bounds, plus the input rules
-every module shares: ``require_positive``, ``require_cutoff``, ``require_odd_prime``.
+"""The prime sieve and prime-power table, discrete logs, the smooth-number walk
+and the classical prime sums behind the resonance bounds, plus the input rules
+every module shares: ``require_positive``, ``require_integer``, ``require_cutoff``
+and ``require_odd_prime``.
 
 Everything here is exact integer combinatorics plus double-precision prime
 sums.  Long sums are correctly rounded (``math.fsum``, or ``exact_sum`` and
@@ -8,8 +9,8 @@ sums.  Long sums are correctly rounded (``math.fsum``, or ``exact_sum`` and
 across platforms and call orders.  The process keeps one prime table and one
 prime-power table, each grown to the largest limit asked for so far;
 ``primes_up_to`` and ``prime_powers_up_to`` hand out read-only prefixes of
-them, so every caller can share them.  ``prime_power_tail_constant`` sieves
-its own segments instead, so its 2^22-wide sieve never grows the table.
+them.  The one sieve, ``_prime_blocks``, yields segments: ``sieve_primes``
+joins them, ``prime_power_tail_constant`` sums them and leaves the table be.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ __all__ = [
     "is_prime",
     "exact_sum",
     "require_positive",
+    "require_integer",
     "require_cutoff",
     "require_odd_prime",
     "primitive_root",
     "build_dlog",
+    "smooth_walk",
     "enumerate_smooth",
     "harmonic",
     "prime_power_tail_constant",
@@ -74,18 +77,11 @@ class DiscreteLogTable:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to ``limit`` inclusive.
-
-    Raises ValueError for limit < 2 (empty domain).
-    """
+    """Sieve of Eratosthenes up to ``limit`` inclusive, the segments of
+    ``_prime_blocks`` joined.  Raises ValueError for limit < 2 (empty domain)."""
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return PrimeTable(limit, _read_only(np.nonzero(sieve)[0].astype(np.int64)))
+    return PrimeTable(limit, _read_only(np.concatenate(list(_prime_blocks(limit)))))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -210,6 +206,16 @@ def require_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def require_integer(name: str, value) -> int:
+    """``value`` as an int, or ValueError: an int, or a float with an
+    integral value (1e6, not 1000.7)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def require_cutoff(y: int) -> None:
     """Raise ValueError unless the truncation cutoff y is >= 1, and
     PrecisionError past the double-precision budget of 1e8."""
@@ -269,26 +275,35 @@ def build_dlog(q: int) -> DiscreteLogTable:
     return DiscreteLogTable(q, g, table)
 
 
+def smooth_walk(ps: list[int], rs: list[float], cap: int) -> tuple[list[int], list[float]]:
+    """Every n <= ``cap`` with prime factors in the ascending list ``ps``,
+    and r(n) for the completely multiplicative r(ps[i]) = rs[i], in
+    depth-first order over prime exponents from (1, 1.0); r(n) is its
+    parent's r times one r(p)."""
+    ns: list[int] = []
+    ws: list[float] = []
+
+    def descend(i: int, n: int, weight: float) -> None:
+        ns.append(n)
+        ws.append(weight)
+        for j in range(i, len(ps)):
+            nxt = n * ps[j]
+            if nxt > cap:
+                break  # primes ascend, so every later branch overflows too
+            descend(j, nxt, weight * rs[j])
+
+    descend(0, 1, 1.0)
+    return ns, ws
+
+
 def enumerate_smooth(x: int, cap: int) -> tuple[int, ...]:
     """All x-smooth integers up to ``cap``, ascending (1 is always smooth), by
-    depth-first search over prime exponents (no filtering, so caps up to 1e9
-    stay cheap when x is small)."""
+    ``smooth_walk`` (no filtering, so caps up to 1e9 stay cheap when x is small)."""
     if x < 2:
         raise ValueError(f"smoothness bound must be >= 2, got {x}")
     require_positive("cap", cap)
-    ps = [int(p) for p in primes_up_to(min(x, cap))]
-    out: list[int] = []
-
-    def descend(i: int, val: int) -> None:
-        out.append(val)
-        for j in range(i, len(ps)):
-            nxt = val * ps[j]
-            if nxt > cap:
-                break  # primes ascend, so every later branch overflows too
-            descend(j, nxt)
-
-    descend(0, 1)
-    return tuple(sorted(out))
+    ps = primes_up_to(min(x, cap)).tolist()
+    return tuple(sorted(smooth_walk(ps, [1.0] * len(ps), cap)[0]))
 
 
 def harmonic(j: int) -> float:
@@ -323,20 +338,20 @@ def prime_power_tail_constant(tolerance: float = 1e-6, sieve_limit: int | None =
             f"tolerance {tolerance:g} would need a sieve beyond feasible memory"
         )
     limit = sieve_limit if sieve_limit is not None else _tail_cutoff(tolerance)
+    blocks = (block.astype(np.float64) for block in _prime_blocks(limit))
     return math.fsum(itertools.chain.from_iterable(
-        (np.log(ps) / (ps * (ps - 1.0))).tolist() for ps in _prime_blocks(limit)))
+        (np.log(ps) / (ps * (ps - 1.0))).tolist() for ps in blocks))
 
 
 _BLOCK = 1 << 18  # numbers per segment of ``_prime_blocks``
 
 
 def _prime_blocks(limit: int):
-    """The primes up to ``limit`` as float64 arrays, one segment of
-    ``_BLOCK`` numbers at a time, sieved by the primes up to sqrt(limit):
-    O(sqrt(limit) + _BLOCK) memory, and the shared prime table is left as it is."""
-    if limit < 2:
-        return
-    base = sieve_primes(max(2, math.isqrt(limit))).primes.tolist()
+    """The primes up to ``limit`` as int64 arrays, one segment of ``_BLOCK``
+    numbers at a time, sieved by the primes up to sqrt(limit) (none below 4):
+    O(sqrt(limit) + _BLOCK) working memory, and the shared prime table is
+    left as it is."""
+    base = sieve_primes(math.isqrt(limit)).primes.tolist() if limit >= 4 else []
     for lo in range(0, limit + 1, _BLOCK):
         hi = min(lo + _BLOCK, limit + 1)
         seg = np.ones(hi - lo, dtype=bool)
@@ -347,7 +362,7 @@ def _prime_blocks(limit: int):
                 break
             start = max(p * p, -(-lo // p) * p)
             seg[start - lo :: p] = False
-        yield np.flatnonzero(seg).astype(np.float64) + lo
+        yield np.flatnonzero(seg).astype(np.int64, copy=False) + lo
 
 
 def mertens_product(x: float) -> float:

@@ -127,9 +127,6 @@ class Character:
             raise ValueError(f"power needs j >= 0, got {j}")
         return Character(self.group, (self.index * j) % self.group.order)
 
-    def conjugate(self) -> "Character":
-        return Character(self.group, (-self.index) % self.group.order)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Character)

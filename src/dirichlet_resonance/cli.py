@@ -16,9 +16,18 @@ import sys
 
 from . import constants as con
 from . import experiments as exp
-from .arithmetic import require_positive
+from .arithmetic import require_integer, require_positive
 
 __all__ = ["main", "build_parser"]
+
+
+def _cutoff_arg(text: str) -> int:
+    """--Y read as a number under ``require_integer``, the rule a JSON
+    config's y follows: "1e3" is 1000, and "1000.7" is refused."""
+    try:
+        return require_integer("y", int(text) if text.isdigit() else float(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sigma", type=float, default=None)
     p_sweep.add_argument("--margin", type=float, default=0.01,
                          help="endpoint margin for the default X")
-    p_sweep.add_argument("--Y", type=int, default=None, dest="y",
+    p_sweep.add_argument("--Y", type=_cutoff_arg, default=None, dest="y",
                          help="fixed truncation cutoff (default: ceil(X) per prime)")
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--output", type=str, default=None, help="output directory")
@@ -57,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="truncation-error table against the exact oracle")
     p_oracle.add_argument("--q", type=int, required=True)
     p_oracle.add_argument("--sigma", type=float, default=1.0)
-    p_oracle.add_argument("--Y", type=int, nargs="+", dest="y_grid",
+    p_oracle.add_argument("--Y", type=_cutoff_arg, nargs="+", dest="y_grid",
                           default=(100, 1000, 10000, 100000))
     p_oracle.add_argument("--output", type=str, default=None, help="output directory")
 

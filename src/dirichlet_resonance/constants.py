@@ -158,10 +158,17 @@ def joint_logderiv_line_constant(ell: int) -> float:
 
 
 def joint_logderiv_strip_constant(sigma: float, ell: int) -> float:
-    """H(sigma, ell) = prod_{j<=ell} ( j!/(1-sigma) * prod_{m<j} (m + 1/sigma)^-1 )."""
+    """H(sigma, ell) = prod_{j<=ell} ( j!/(1-sigma) * prod_{m<j} (m + 1/sigma)^-1 ),
+    carrying ``factorial_ratio`` from j to j + 1 in its order of products:
+    O(ell), and the loop stops once the product is 0 or inf, where it stays."""
     require_strip_sigma(sigma)
     require_positive("ell", ell)
-    out = math.prod(factorial_ratio(sigma, j) / (1.0 - sigma) for j in range(1, ell + 1))
+    out = ratio = 1.0
+    for m in range(ell):
+        ratio *= (m + 1.0) / (m + 1.0 / sigma)
+        out *= ratio / (1.0 - sigma)
+        if not 0.0 < out < math.inf:
+            break
     return require_finite(f"H(sigma={sigma}, ell={ell})", out)
 
 

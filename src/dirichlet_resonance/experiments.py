@@ -42,33 +42,18 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arithmetic import primes_up_to, require_cutoff, require_odd_prime, require_positive
+from .arithmetic import (PrecisionError, mertens_product, primes_up_to, require_cutoff,
+                         require_integer, require_odd_prime, require_positive)
 from .characters import CharacterGroup, eligible, group_sum
-from .constants import (
-    default_strip_epsilon,
-    max_ell_for_sigma,
-    require_strip_ell,
-    require_strip_sigma,
-    strip_l_admissible_range,
-    strip_logderiv_admissible_range,
-)
-from .lfunctions import (
-    EULER_GAMMA,
-    exact_l,
-    exact_l_all,
-    truncated_l_all,
-)
-from .resonator import (
-    LinearKernel,
-    SigmaKernel,
-    bound_l_product,
-    bound_logderiv_product,
-    bound_prime_sum,
-    joint_product,
-    require_y_covers_x,
-    s1,
-    s2_terms,
-)
+from .constants import (binomial_beta_identity_check, default_strip_epsilon, joint_l_line_constant,
+                        joint_l_strip_constant, joint_logderiv_line_coefficient,
+                        joint_logderiv_strip_constant, max_ell_for_sigma, require_strip_ell,
+                        require_strip_sigma, strip_l_admissible_range, strip_l_inequality_slack,
+                        strip_logderiv_admissible_range, strip_logderiv_inequality_slack)
+from .lfunctions import EULER_GAMMA, exact_l, exact_l_all, truncated_l_all
+from .resonator import (LinearKernel, SigmaKernel, bound_l_product, bound_logderiv_product,
+                        bound_prime_sum, joint_product, require_y_covers_x, s1,
+                        s1_congruence_oracle, s2_terms)
 
 __all__ = [
     "ConfigError",
@@ -79,6 +64,7 @@ __all__ = [
     "CheckResult",
     "REPORT_COLUMNS",
     "LOG4",
+    "battery_configs",
     "default_x",
     "config_from_json",
     "run_theorem",
@@ -131,7 +117,7 @@ class ExperimentConfig:
     def validated(self) -> "ExperimentConfig":
         """Check types and invariants and fill derived defaults for x and y;
         a shared rule checker's ValueError is raised as ConfigError.  y may
-        be a float only when it is integral (1e6, not 1000.7)."""
+        be a float only when it is integral (``require_integer``)."""
         for name in ("theorem", "q", "ell"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -139,8 +125,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (_is_real(value) and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.y is not None and self.y != int(self.y):
-            raise ConfigError(f"y must be an integer, got {self.y!r}")
         if not (isinstance(self.excluded, (list, tuple)) and all(map(_is_int, self.excluded))):
             raise ConfigError(f"excluded must be a list of integers, got {self.excluded!r}")
         if self.theorem not in (1, 2, 3, 4):
@@ -148,6 +132,7 @@ class ExperimentConfig:
         needs_sigma = self.theorem in (2, 4)
         x, y = self.x, self.y
         try:
+            y = y if y is None else require_integer("y", y)
             require_odd_prime(self.q)
             require_positive("ell", self.ell)
             if self.ell >= self.q - 1:
@@ -166,6 +151,9 @@ class ExperimentConfig:
             if not x > 0:
                 raise ValueError(f"X must be > 0, got {x}")
             if y is None:
+                if x > 10**8:
+                    raise PrecisionError(f"X = {x} needs a cutoff Y >= X past the "
+                                         "double-precision budget (1e8)")
                 y = max(1000, int(math.ceil(x)))
             require_cutoff(y)
             require_y_covers_x(x, y)
@@ -173,7 +161,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if any(not (0 <= e) for e in self.excluded):
             raise ConfigError(f"excluded indices must be >= 0, got {self.excluded}")
-        return replace(self, x=float(x), y=int(y), excluded=tuple(self.excluded))
+        return replace(self, x=float(x), y=y, excluded=tuple(self.excluded))
 
 
 def _is_int(value) -> bool:
@@ -584,8 +572,6 @@ def _check_orthogonality(qs: list[int]) -> CheckResult:
 
 
 def _check_s1_closed_form() -> CheckResult:
-    from .resonator import s1_congruence_oracle  # local to avoid cycle noise
-
     group = CharacterGroup(5)
     kernel = LinearKernel(3.0)
     direct = s1(group, kernel)
@@ -598,27 +584,26 @@ def _check_s1_closed_form() -> CheckResult:
     )
 
 
+def battery_configs(qs, ells, xs, sigmas):
+    """The resonance battery at Y = 1000: per q, ell and X, theorems 1 and 3,
+    then per sigma theorem 2 and, within the strip logderiv ell cap, 4."""
+    for q in qs:
+        for ell in ells:
+            for x in xs:
+                yield ExperimentConfig(1, q, ell, x=x, y=1000)
+                yield ExperimentConfig(3, q, ell, x=x, y=1000)
+                for sigma in sigmas:
+                    yield ExperimentConfig(2, q, ell, x=x, y=1000, sigma=sigma)
+                    if ell <= max_ell_for_sigma(sigma):
+                        yield ExperimentConfig(4, q, ell, x=x, y=1000, sigma=sigma)
+
+
 def _check_resonance(quick: bool) -> list[CheckResult]:
-    qs = [101] if quick else [101, 211]
-    ells = [1, 2] if quick else [1, 2, 3]
-    sigmas = [0.9] if quick else [0.75, 0.9]
+    grid = (([101], [1, 2], [20.0], [0.9]) if quick
+            else ([101, 211], [1, 2, 3], [20.0, 50.0], [0.75, 0.9]))
     out = []
     for theorem in (1, 2, 3, 4):
-        reports = []
-        for q in qs:
-            for ell in ells:
-                for x in ([20.0] if quick else [20.0, 50.0]):
-                    if theorem in (1, 3):
-                        cfgs = [ExperimentConfig(theorem, q, ell, x=x, y=1000)]
-                    else:
-                        cfgs = []
-                        for sg in sigmas:
-                            if theorem == 4 and ell > max_ell_for_sigma(sg):
-                                continue
-                            cfgs.append(
-                                ExperimentConfig(theorem, q, ell, x=x, y=1000, sigma=sg)
-                            )
-                    reports.extend(run_theorem(c) for c in cfgs)
+        reports = [run_theorem(c) for c in battery_configs(*grid) if c.theorem == theorem]
         ok = all(r.passed for r in reports)
         worst = min(r.margin for r in reports)
         out.append(CheckResult(
@@ -650,14 +635,6 @@ def _check_oracle() -> list[CheckResult]:
 
 
 def _check_constants() -> CheckResult:
-    from .constants import (
-        binomial_beta_identity_check,
-        joint_l_line_constant,
-        joint_l_strip_constant,
-        joint_logderiv_line_coefficient,
-        joint_logderiv_strip_constant,
-    )
-
     msgs = []
     c1 = joint_l_line_constant(1)
     if not (1.32 <= c1 <= 1.34):
@@ -679,8 +656,6 @@ def _check_constants() -> CheckResult:
 
 
 def _check_admissibility() -> CheckResult:
-    from .constants import strip_l_inequality_slack, strip_logderiv_inequality_slack
-
     msgs = []
     for sg in (0.6, 0.75, 0.9):
         rng = strip_l_admissible_range(sg)
@@ -704,8 +679,6 @@ def _check_admissibility() -> CheckResult:
 
 
 def _check_mertens() -> CheckResult:
-    from .arithmetic import mertens_product
-
     x = 10**4
     val = mertens_product(x)
     scale = math.exp(EULER_GAMMA) * math.log(x)

@@ -23,7 +23,8 @@ reference it is tested against.
 S1 = sum_chi |R(chi)|^2, the ``characters.group_sum`` of the half,
 collapses by orthogonality to a congruence sum
 phi(q) * sum_{m = n mod q, (n,q)=1} r(m) r(n) over smooth integers, which
-``s1_congruence_oracle`` evaluates directly as an independent check.
+``s1_congruence_oracle`` evaluates directly as an independent check: the
+integers and their weights r(n) come from ``arithmetic.smooth_walk``.
 
 ``joint_product`` gives one of three target weights for k <= (q-1)/2:
 
@@ -49,17 +50,12 @@ from typing import Union
 
 import numpy as np
 
-from .arithmetic import harmonic, primes_up_to, require_positive
+from .arithmetic import primes_up_to, require_positive, smooth_walk
 from .characters import Character, CharacterGroup, group_sum, power_reduce
 # max_ell_for_sigma is not used here; tests/test_acceptance.py imports it from here
 from .constants import (factorial_ratio, max_ell_for_sigma, require_finite,  # noqa: F401
                         require_strip_ell, require_strip_sigma)
-from .lfunctions import (
-    EULER_GAMMA,
-    logderiv_poly_all,
-    prime_sum_all,
-    truncated_l_all,
-)
+from .lfunctions import logderiv_poly_all, prime_sum_all, truncated_l_all
 
 __all__ = [
     "LinearKernel",
@@ -76,7 +72,6 @@ __all__ = [
     "bound_prime_sum",
     "bound_logderiv_product",
     "p_j",
-    "p_j_linear_asymptotic",
     "p_j_sigma_asymptotic",
     "require_y_covers_x",
 ]
@@ -201,40 +196,24 @@ def s1_congruence_oracle(group: CharacterGroup, kernel: ResonanceKernel,
                          cap: int) -> CongruenceS1:
     """phi(q) * sum_{smooth m, n <= cap, m = n mod q, (n,q)=1} r(m) r(n).
 
-    Smooth integers are walked by depth-first search over prime exponents,
-    accumulating class totals T_a = sum_{n = a mod q} r(n); the congruence
-    sum is then sum_a T_a^2.  The discarded tail is bounded by
+    The smooth integers and their weights r(n) come from
+    ``arithmetic.smooth_walk`` and are added, in its depth-first order, into
+    class totals T_a = sum_{n = a mod q} r(n); the congruence sum is then
+    sum_a T_a^2.  The discarded tail is bounded by
     phi(q) * (F^2 - S_cap^2) with F = prod (1 - r(p))^-1 >= sum_all r(n),
     intentionally a crude majorant.
     """
     require_positive("cap", cap)
     q = group.q
     ps, rv = _support(kernel, exclude_q=q)
-    active = rv > 0.0
-    ps_l = [int(p) for p in ps[active]]
-    rv_l = [float(r) for r in rv[active]]
-
-    totals = np.zeros(q, dtype=np.float64)
-    captured: list[float] = []
-    count = 0
-
-    def descend(i: int, n: int, weight: float) -> None:
-        nonlocal count
-        totals[n % q] += weight
-        captured.append(weight)
-        count += 1
-        for j in range(i, len(ps_l)):
-            nxt = n * ps_l[j]
-            if nxt > cap:
-                break
-            descend(j, nxt, weight * rv_l[j])
-
-    descend(0, 1, 1.0)
-    full = float(np.prod(1.0 / (1.0 - np.asarray(rv_l)))) if rv_l else 1.0
+    ps, rv = ps[rv > 0.0], rv[rv > 0.0]
+    ns, captured = smooth_walk(ps.tolist(), rv.tolist(), cap)
+    totals = np.bincount([n % q for n in ns], captured, minlength=q)  # in walk order, from 0.0
+    full = float(np.prod(1.0 / (1.0 - rv)))
     caught = math.fsum(captured)
     tail = group.order * max(full * full - caught * caught, 0.0)
     value = group.order * math.fsum((totals * totals).tolist())
-    return CongruenceS1(value=value, tail_bound=tail, terms=count)
+    return CongruenceS1(value=value, tail_bound=tail, terms=len(ns))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +313,6 @@ def bound_logderiv_product(kernel: ResonanceKernel, ell: int) -> float:
     for j in range(1, ell + 1):
         out *= p_j(kernel, j)
     return out
-
-
-def p_j_linear_asymptotic(x: float, j: int, prime_constant: float) -> float:
-    """Large-X form of P_j for the linear kernel:
-    log X - gamma - sum_p log p/(p(p-1)) - H_j."""
-    return math.log(x) - EULER_GAMMA - prime_constant - harmonic(j)
 
 
 def p_j_sigma_asymptotic(kernel: SigmaKernel, j: int) -> float:

@@ -21,6 +21,7 @@ from dirichlet_resonance.arithmetic import (
     prime_powers_up_to,
     primes_up_to,
     primitive_root,
+    require_integer,
     sieve_primes,
 )
 from dirichlet_resonance.lfunctions import EULER_GAMMA
@@ -32,6 +33,17 @@ def trial_division_primes(limit):
         if all(n % d for d in range(2, int(math.isqrt(n)) + 1)):
             out.append(n)
     return out
+
+
+def whole_range_sieve(limit):
+    """The primes up to limit from one boolean array over [0, limit]: the
+    reference for the segmented sieve."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).astype(np.int64)
 
 
 def brute_smooth(x, cap):
@@ -61,6 +73,14 @@ class TestSievePrimes:
         with pytest.raises(ValueError):
             sieve_primes(1)
 
+    @pytest.mark.parametrize("limit", [2, 3, 4, 100003, (1 << 18) - 1, 1 << 18, (1 << 18) + 1,
+                                       1 << 22, 1 << 24])
+    def test_matches_a_whole_range_sieve(self, limit):
+        table = sieve_primes(limit)
+        ref = whole_range_sieve(limit)
+        assert table.limit == limit and table.primes.dtype == np.int64
+        assert table.primes.tobytes() == ref.tobytes()
+
     def test_strictly_increasing(self):
         ps = sieve_primes(10**4).primes
         assert np.all(np.diff(ps) > 0)
@@ -74,6 +94,21 @@ class TestSievePrimes:
             with pytest.raises(ValueError, match="read-only"):
                 table[:1] = 0
         assert primes_up_to(1000)[:4].tolist() == [2, 3, 5, 7]
+
+
+class TestRequireInteger:
+    @pytest.mark.parametrize("value,want", [
+        (1000, 1000), (1000.0, 1000), (1e6, 10**6), (-1.0, -1), (10**30, 10**30), (2.0**60, 2**60),
+    ])
+    def test_integral_values(self, value, want):
+        got = require_integer("y", value)
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("value", [1000.7, -0.5, math.nan, math.inf, True, None, [1], "1000"])
+    def test_everything_else_is_refused(self, value):
+        with pytest.raises(ValueError) as info:
+            require_integer("y", value)
+        assert str(info.value) == f"y must be an integer, got {value!r}"
 
 
 class TestPrimitiveRoot:
@@ -210,7 +245,7 @@ class TestPrimePowerTailConstant:
 
     @pytest.mark.parametrize("limit", [3, 100003, 1 << 22, 1 << 24])
     def test_segmented_sum_has_the_bits_of_one_sieve(self, fresh_store, limit):
-        ps = sieve_primes(limit).primes.astype(np.float64)
+        ps = whole_range_sieve(limit).astype(np.float64)
         whole = math.fsum((np.log(ps) / (ps * (ps - 1.0))).tolist())
         got = prime_power_tail_constant.__wrapped__(1e-6, sieve_limit=limit)  # uncached
         assert got.hex() == whole.hex()
@@ -244,7 +279,7 @@ class TestMertensProduct:
 
 
 def fresh_primes(limit):
-    return sieve_primes(limit).primes if limit >= 2 else np.empty(0, dtype=np.int64)
+    return whole_range_sieve(max(limit, 0))
 
 
 def loop_prime_powers(limit):

@@ -1,13 +1,18 @@
 """Subcommand surface: flags, exit codes, file outputs."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_resonance import cli, experiments
 from dirichlet_resonance.cli import build_parser, main
@@ -52,6 +57,41 @@ class TestConstantsCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["C"]) == pytest.approx(1.3266, abs=1e-3)
+
+
+def error_lines(err):
+    """stderr without argparse's usage text (its first line and the indented rest)."""
+    return [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+
+
+_SIGMAS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 1.0, 0.501, 0.999]),
+                    st.floats(0.4, 1.1), st.floats())
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=1000)
+@given(ells=st.lists(st.integers(-1, 10**5), min_size=1, max_size=3),
+       sigmas=st.lists(_SIGMAS, max_size=2),
+       columns=st.none() | st.lists(st.sampled_from(sorted(cli._CONST_COLUMNS)), unique=True))
+def test_constants_ends_in_exit_0_or_2(ells, sigmas, columns):
+    """Any ell up to 1e5, any sigma and any set of columns: a table and
+    exit 0, or exit 2 with one error line, in well under the deadline."""
+    argv = ["constants", "--ell", *map(str, ells)]
+    if sigmas:
+        argv += ["--sigma", *map(repr, sigmas)]
+    if columns is not None:
+        argv += ["--columns", ",".join(columns)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert len(error_lines(err.getvalue())) == 1, (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 1 + len(ells) * max(
+            1, len(sigmas)), argv
 
 
 class TestRunCommand:
@@ -241,11 +281,13 @@ class TestInputErrorsExitTwo:
         (["run", "{dir}/y_fraction_below_x.json"], "y must be an integer, got 20.5"),
         (["sweep", "--theorem", "1", "--primes", "100..104", "--Y", "0"],
          "Y must be >= 1, got 0"),
+        (["run", "{dir}/big_x.json"],
+         "X = 1e+308 needs a cutoff Y >= X past the double-precision budget (1e8)"),
     ], ids=["constants-ell-0", "x-negative", "theorem-3-margin-1.5", "missing-config",
             "run-unwritable-output", "sweep-unwritable-output", "oracle-unwritable-output",
             "constants-unwritable-output", "constants-h-underflow", "sweep-below-17",
             "q-past-dlog-bound", "q-mersenne-61", "y-past-budget", "sweep-margin-nan",
-            "y-not-integral", "y-not-integral-below-x", "sweep-y-0"])
+            "y-not-integral", "y-not-integral-below-x", "sweep-y-0", "x-past-budget"])
     def test_exit_two_with_one_error_line(self, tmp_path, capsys, argv, expect):
         (tmp_path / "neg_x.json").write_text('{"theorem": 1, "q": 101, "x": -5}')
         (tmp_path / "margin.json").write_text(
@@ -253,6 +295,7 @@ class TestInputErrorsExitTwo:
         (tmp_path / "big_q.json").write_text('{"theorem": 1, "q": 999999999989}')
         (tmp_path / "mersenne_q.json").write_text('{"theorem": 1, "q": 2305843009213693951}')
         (tmp_path / "big_y.json").write_text('{"theorem": 1, "q": 101, "y": 1000000000}')
+        (tmp_path / "big_x.json").write_text('{"theorem": 1, "q": 101, "x": 1e308}')
         (tmp_path / "y_fraction.json").write_text('{"theorem": 1, "q": 101, "y": 1000.7}')
         (tmp_path / "y_fraction_below_x.json").write_text(
             '{"theorem": 1, "q": 101, "x": 20.3, "y": 20.5}')
@@ -266,6 +309,38 @@ class TestInputErrorsExitTwo:
         lines = [line for line in err.splitlines() if not line.startswith("usage:")]
         assert code == 2
         assert len(lines) == 1 and expect.format(dir=tmp_path) in lines[0], err
+
+
+class TestOneIntegralityRuleForY:
+    """--Y and a JSON config's y follow ``arithmetic.require_integer``:
+    "1e3" is 1000 on both paths, and 1000.7 fails on both with one text."""
+
+    def test_exponent_notation_is_an_integer(self, tmp_path, capsys):
+        outputs = []
+        for y in ("1000", "1e3"):
+            code, out, _ = run_cli(["sweep", "--theorem", "1", "--primes", "100..110",
+                                    "--Y", y, "--output", str(tmp_path / y)], capsys)
+            assert code == 0
+            with open(tmp_path / y / "sweep.csv", newline="") as fh:
+                outputs.append([{**row, "seconds": None} for row in csv.DictReader(fh)])
+        assert outputs[0] == outputs[1] and {row["Y"] for row in outputs[0]} == {"1000"}
+        assert build_parser().parse_args(["oracle", "--q", "5", "--Y", "1e5", "100"]).y_grid == [
+            100000, 100]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--theorem", "1", "--primes", "100..110", "--Y", "1000.7"],
+        ["oracle", "--q", "5", "--Y", "100", "1000.7"],
+    ], ids=["sweep", "oracle"])
+    def test_fractional_y_fails_as_in_a_config(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        cli_err = error_lines(capsys.readouterr().err)
+        config = tmp_path / "config.json"
+        config.write_text('{"theorem": 1, "q": 101, "y": 1000.7}')
+        code, _, config_err = run_cli(["run", str(config)], capsys)
+        text = "y must be an integer, got 1000.7"
+        assert exc.value.code == code == 2
+        assert len(cli_err) == 1 and cli_err[0].endswith(text) and config_err.endswith(text + "\n")
 
 
 class TestVerifyCommand:

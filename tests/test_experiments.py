@@ -145,14 +145,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="Y must be >= 1, got 0"):
             ExperimentConfig(1, 101, 1, x=20.0, y=0).validated()
 
-    @pytest.mark.parametrize("q,y,match", [
-        (999_999_999_989, None, "q = 999999999989 must be below 3037000500"),
-        (2**61 - 1, None, "must be below 3037000500"),  # a prime, refused before trial division
-        (101, 10**9, "cutoff 1000000000 exceeds the double-precision budget"),
-    ], ids=["q-past-dlog-bound", "q-mersenne-61", "y-past-budget"])
-    def test_precision_limits_are_config_errors(self, q, y, match):
+    @pytest.mark.parametrize("q,x,y,match", [
+        (999_999_999_989, None, None, "q = 999999999989 must be below 3037000500"),
+        (2**61 - 1, None, None, "must be below 3037000500"),  # a prime, refused before trial division
+        (101, None, 10**9, "cutoff 1000000000 exceeds the double-precision budget"),
+        (101, 1e308, None, r"X = 1e\+308 needs a cutoff Y >= X past the double-precision budget"),
+    ], ids=["q-past-dlog-bound", "q-mersenne-61", "y-past-budget", "x-past-budget"])
+    def test_precision_limits_are_config_errors(self, q, x, y, match):
         with pytest.raises(ConfigError, match=match):
-            ExperimentConfig(1, q, 1, y=y).validated()
+            ExperimentConfig(1, q, 1, x=x, y=y).validated()
 
     def test_q_must_be_odd_prime(self):
         with pytest.raises(ConfigError):

@@ -59,7 +59,7 @@ class TestTruncatedL:
         for a in range(1, g7.order):
             chi = g7.character(a)
             v = truncated_l(chi, 1.0, 500).value
-            vbar = truncated_l(chi.conjugate(), 1.0, 500).value
+            vbar = truncated_l(g7.character(-a), 1.0, 500).value
             assert vbar == complex(v).conjugate()
 
     def test_sigma_validation(self, g5):
@@ -119,7 +119,7 @@ class TestJointProducts:
     def test_conjugate_real_parts_agree(self, g7):
         chi = g7.character(1)
         a = joint_logderiv_product(chi, 2, 1.0, 300)
-        b = joint_logderiv_product(chi.conjugate(), 2, 1.0, 300)
+        b = joint_logderiv_product(g7.character(-1), 2, 1.0, 300)
         assert a.real == pytest.approx(b.real, rel=1e-12)
 
     def test_double_sum_expansion_q11(self):
@@ -286,10 +286,20 @@ class TestHurwitzZeta:
         # zeta(s, 1/2) = (2^s - 1) zeta(s) at s = 2
         assert hurwitz_zeta(2.0, 0.5) == pytest.approx(3.0 * math.pi**2 / 6, abs=1e-10)
 
-    def test_self_convergence(self):
-        a = hurwitz_zeta(0.75, 0.3, n_terms=30, order=12)
-        b = hurwitz_zeta(0.75, 0.3, n_terms=60, order=14)
-        assert abs(a - b) < 1e-10
+    @pytest.mark.parametrize("s", [0.75, 2.0])
+    def test_half_shift_closed_form(self, s):
+        # zeta(s, 1/2) = (2^s - 1) zeta(s, 1)
+        want = (2.0**s - 1.0) * hurwitz_zeta(s, 1.0)
+        assert hurwitz_zeta(s, 0.5) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("s", [0.6, 0.75, 0.9, 1.5, 2.0])
+    def test_multiplication_formula(self, s):
+        # sum_{k<n} zeta(s, (a+k)/n) = n^s zeta(s, a), to 1e-13 of the largest term
+        for a in (0.1, 0.37, 1.0):
+            for n in (2, 3, 7):
+                terms = [hurwitz_zeta(s, (a + k) / n) for k in range(n)]
+                scale = max(map(abs, terms))
+                assert abs(math.fsum(terms) - n**s * hurwitz_zeta(s, a)) <= 1e-13 * scale, (a, n)
 
     def test_pole_and_domain(self):
         with pytest.raises(ValueError):
@@ -304,11 +314,11 @@ class TestHurwitzZeta:
         for a in (0.25, 0.5, 0.8, 1.0):
             assert _hurwitz_zeta_reg(1.0, a) == pytest.approx(-digamma(a), abs=1e-12)
 
-    def test_regularized_consistency_away_from_pole(self):
-        for s in (0.75, 2.0):
-            for a in (0.3, 1.0):
-                want = hurwitz_zeta(s, a) - 1.0 / (s - 1.0)
-                assert _hurwitz_zeta_reg(s, a) == pytest.approx(want, abs=1e-9)
+    def test_regularized_closed_forms_at_s_2(self):
+        # zeta(2, a) - 1 at a = 1, 1/2, 1/4: pi^2/6, pi^2/2 and pi^2 + 8 G, G Catalan's constant
+        catalan = 0.915965594177219015
+        for a, zeta in ((1.0, math.pi**2 / 6), (0.5, math.pi**2 / 2), (0.25, math.pi**2 + 8 * catalan)):
+            assert _hurwitz_zeta_reg(2.0, a) == pytest.approx(zeta - 1.0, rel=1e-14), a
 
 
 class TestDigamma:

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from dirichlet_resonance.arithmetic import prime_powers_up_to, primes_up_to
 from dirichlet_resonance.characters import CharacterGroup, power_reduce
 from dirichlet_resonance.constants import max_ell_for_sigma
-from dirichlet_resonance.experiments import ExperimentConfig, run_theorem
-from dirichlet_resonance.lfunctions import (logderiv_poly_all, prime_sum_all, truncated_l,
-                                            truncated_l_all)
+from dirichlet_resonance.experiments import ExperimentConfig, default_x, run_theorem
+from dirichlet_resonance.lfunctions import (EULER_GAMMA, logderiv_poly_all, prime_sum_all,
+                                            truncated_l, truncated_l_all)
 from dirichlet_resonance.resonator import (
     CongruenceS1,
     LinearKernel,
@@ -24,7 +24,6 @@ from dirichlet_resonance.resonator import (
     bound_prime_sum,
     joint_product,
     p_j,
-    p_j_linear_asymptotic,
     p_j_sigma_asymptotic,
     resonator_sq,
     resonator_sq_all,
@@ -243,6 +242,34 @@ class TestS1:
         tails = [s1_congruence_oracle(g5, kernel, c).tail_bound for c in caps]
         assert all(tails[i] >= tails[i + 1] for i in range(len(tails) - 1))
 
+    @pytest.mark.parametrize("q,x", [(5, 3.0), (1009, None), (3989, None)])
+    def test_congruence_oracle_has_the_bits_of_a_recursive_walk(self, q, x):
+        """value, tail_bound and terms equal, bit for bit, those of a
+        recursive walk that adds each node into its class as it is reached
+        (the oracle's own form before the walk was shared)."""
+        kernel = LinearKernel(default_x(1, q) if x is None else x)
+        group, cap = CharacterGroup(q), 10**12
+        ps, rv = _support(kernel, q)
+        ps, rv = ps[rv > 0].tolist(), rv[rv > 0].tolist()
+        totals = np.zeros(q)
+        captured = []
+
+        def descend(i, n, weight):
+            totals[n % q] += weight
+            captured.append(weight)
+            for j in range(i, len(ps)):
+                if n * ps[j] > cap:
+                    break
+                descend(j, n * ps[j], weight * rv[j])
+
+        descend(0, 1, 1.0)
+        full = float(np.prod(1.0 / (1.0 - np.asarray(rv))))
+        caught = math.fsum(captured)
+        got = s1_congruence_oracle(group, kernel, cap)
+        assert got.terms == len(captured)
+        assert got.value.hex() == (group.order * math.fsum((totals * totals).tolist())).hex()
+        assert got.tail_bound.hex() == (group.order * max(full * full - caught * caught, 0.0)).hex()
+
     def test_oracle_random_case_within_tail(self):
         group = CharacterGroup(11)
         kernel = LinearKernel(7.0)
@@ -441,14 +468,13 @@ class TestBounds:
         )
 
     def test_linear_asymptotic_agreement(self):
-        # looser-budget version of the acceptance check, at X = 1e5
+        # looser-budget version of the acceptance check, at X = 1e5: the
+        # large-X form of P_1 is log X - gamma - sum_p log p/(p(p-1)) - H_1
         from dirichlet_resonance.arithmetic import prime_power_tail_constant
 
         x = 10**5
-        const = prime_power_tail_constant(1e-6)
-        got = p_j(LinearKernel(float(x)), 1)
-        want = p_j_linear_asymptotic(float(x), 1, const)
-        assert abs(got - want) < 0.05
+        want = math.log(x) - EULER_GAMMA - prime_power_tail_constant(1e-6) - 1.0
+        assert abs(p_j(LinearKernel(float(x)), 1) - want) < 0.05
 
     def test_sigma_asymptotic_agreement(self):
         # the acceptance gate checks [0.9, 1.1] at X = 1e7; this is the

@@ -1,12 +1,15 @@
 """Smoke runs of the experiment scripts at a tiny size, and the report
 digest pinned at every SIMD level numpy dispatches to."""
 
+import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from dirichlet_resonance.experiments import REPORT_COLUMNS, battery_configs
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -53,8 +56,14 @@ def test_script_runs(tmp_path, script, args, written):
     assert done.returncode == 0, done.stdout + done.stderr
     if written is None:  # the digest script prints two lines and writes nothing
         assert_pinned(done.stdout)
-    else:
-        assert (tmp_path / written).stat().st_size > 0
+    else:  # the battery: one row per configuration of its grid, in grid order
+        with open(tmp_path / written, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        grid = battery_configs([101], (1, 2, 3), (20.0, 50.0), (0.75, 0.9))
+        assert header == list(REPORT_COLUMNS)
+        assert [row[:4] for row in rows] == [
+            [str(c.q), str(c.ell), "" if c.sigma is None else repr(c.sigma), repr(c.x)]
+            for c in grid]
 
 
 @pytest.mark.parametrize("level", sorted(DISABLED))
