@@ -31,6 +31,7 @@ __all__ = [
     "prime_powers_up_to",
     "is_prime",
     "exact_sum",
+    "exact_or_ieee_sum",
     "require_positive",
     "require_integer",
     "require_cutoff",
@@ -179,25 +180,24 @@ def exact_sum(values: np.ndarray) -> float:
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
+def exact_or_ieee_sum(values: np.ndarray) -> float:
+    """``exact_sum``, or where ``math.fsum`` raises the IEEE sum: inf, or nan
+    when both infinities occur.  That is once a value is not finite or a
+    partial sum overflows, even if the exact sum is a finite double."""
+    try:
+        return exact_sum(values)
+    except (ValueError, OverflowError):
+        return float(np.sum(values))
+
+
 def _fsum_complex(arr: np.ndarray) -> complex:
     """``exact_sum`` of the real and the imaginary parts."""
     return complex(exact_sum(arr.real), exact_sum(arr.imag))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (desk-scale n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic primality by ``_prime_factors``' trial division (desk-scale n)."""
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def require_positive(name: str, value: int) -> None:

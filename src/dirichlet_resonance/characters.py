@@ -10,11 +10,12 @@ exact conjugates.  ``power_reduce`` indexes every power family chi^j;
 ``eligible`` is the one home of the resonance method's eligibility rule.
 
 chi_{q-1-k} = conj(chi_k), so a per-character quantity that is real, or
-conjugates with the character, needs only k <= (q-1)/2: ``power_reduce``
-with ``half`` reduces a whole-group base vector onto those indices, and
-``group_sum`` sums such a half over the whole group.  The base vectors
-themselves and the ``eligible`` mask (a user's exclusions need not be
-symmetric) stay whole-group.
+conjugates with the character, needs only k <= (q-1)/2: ``unfold`` mirrors
+such a half into the whole group, ``power_reduce`` with ``half`` reduces a
+whole-group base vector onto those indices, and ``group_sum`` sums such a
+half over the whole group.  The base vectors themselves and the
+``eligible`` mask (a user's exclusions need not be symmetric) stay
+whole-group.
 
 Groups are immutable but for ``stored``, which keeps each vector read-only
 for the group's lifetime; parallel iteration over the character index range
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .arithmetic import (DiscreteLogTable, _fsum_complex, build_dlog, exact_sum,
+from .arithmetic import (DiscreteLogTable, _fsum_complex, build_dlog, exact_or_ieee_sum,
                          require_positive)
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "group_sum",
     "orthogonality_sum",
     "power_reduce",
+    "unfold",
 ]
 
 class CharacterGroup:
@@ -141,6 +143,15 @@ class Character:
         return f"Character(q={self.group.q}, index={self.index})"
 
 
+def unfold(half: np.ndarray, order: int) -> np.ndarray:
+    """The length-``order`` vector of one given for k <= order/2: entry
+    order - k is the exact conjugate of entry k (a copy, for a real one)."""
+    out = np.empty(order, dtype=half.dtype)
+    out[: len(half)] = half
+    out[len(half) :] = np.conj(half[1 : order - len(half) + 1][::-1])
+    return out
+
+
 def power_reduce(vec: np.ndarray, ell: int, op, half: bool = False) -> np.ndarray:
     """out[k] = the ``op``-reduction (np.multiply, np.add, np.logical_or) of
     vec[(k*j) mod order] over j = 1..ell, by the rule chi_k^j = chi_{kj},
@@ -157,10 +168,12 @@ def power_reduce(vec: np.ndarray, ell: int, op, half: bool = False) -> np.ndarra
 def group_sum(half: np.ndarray) -> float:
     """The correctly rounded sum over all q-1 characters of a real vector
     given on k <= (q-1)/2 whose entries at k and q-1-k are equal:
-    t_0 + 2 (t_1 + ... + t_{N/2-1}) + t_{N/2}, N = q-1, doubling being exact."""
+    t_0 + 2 (t_1 + ... + t_{N/2-1}) + t_{N/2}, N = q-1, doubling being exact
+    (``exact_or_ieee_sum``: inf or nan once a term, a doubled term or a
+    partial sum is not finite)."""
     folded = 2.0 * half
     folded[[0, -1]] = half[[0, -1]]
-    return exact_sum(folded)
+    return exact_or_ieee_sum(folded)
 
 
 def eligible(group: CharacterGroup, ell: int, excluded: tuple[int, ...] = ()) -> np.ndarray:

@@ -42,8 +42,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .arithmetic import (PrecisionError, mertens_product, primes_up_to, require_cutoff,
-                         require_integer, require_odd_prime, require_positive)
+from .arithmetic import (PrecisionError, exact_or_ieee_sum, mertens_product, primes_up_to,
+                         require_cutoff, require_integer, require_odd_prime, require_positive)
 from .characters import CharacterGroup, eligible, group_sum
 from .constants import (binomial_beta_identity_check, default_strip_epsilon, joint_l_line_constant,
                         joint_l_strip_constant, joint_logderiv_line_coefficient,
@@ -121,9 +121,10 @@ class ExperimentConfig:
         for name in ("theorem", "q", "ell"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("x", "y", "sigma", "endpoint_margin"):
+        for name, optional in (("x", True), ("y", True), ("sigma", True),
+                               ("endpoint_margin", False)):
             value = getattr(self, name)
-            if value is not None and not (_is_real(value) and math.isfinite(value)):
+            if not (optional and value is None or _is_real(value) and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not (isinstance(self.excluded, (list, tuple)) and all(map(_is_int, self.excluded))):
             raise ConfigError(f"excluded must be a list of integers, got {self.excluded!r}")
@@ -310,11 +311,12 @@ def _s2_sum(terms: np.ndarray) -> complex:
     return complex(group_sum(terms.real), imag)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def run_theorem(config: ExperimentConfig) -> TheoremReport:
     """The one evaluation path for a configuration: S1, S2, ratio, bound,
     the extremal character and the certificate.  Inequality violations and
     non-finite values are reported in ``failures`` (with operands in the
-    message), never raised."""
+    message), never raised, so numpy's floating-point warnings are off."""
     config = config.validated()
     t0 = time.perf_counter()
     group = CharacterGroup(config.q)
@@ -344,7 +346,8 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
     tie_cut = max_value - _TIE_TOL * max(1.0, abs(max_value))
     near_ties = tuple(members[member_vals >= tie_cut].tolist())
 
-    excluded_sum = math.fsum(terms.real[_half_index(np.flatnonzero(~mask), group.order)])
+    excluded = _half_index(np.flatnonzero(~mask), group.order)
+    excluded_sum = exact_or_ieee_sum(terms.real[excluded])
     certificate = (s2_val.real - excluded_sum) / s1_val
 
     logderiv_mod = None

@@ -40,7 +40,7 @@ import numpy as np
 
 from .arithmetic import (_fsum_complex, prime_powers_up_to, primes_up_to, require_cutoff,
                          require_positive)
-from .characters import Character, CharacterGroup
+from .characters import Character, CharacterGroup, unfold
 
 __all__ = [
     "LValue",
@@ -140,19 +140,14 @@ def joint_logderiv_product(chi: Character, ell: int, sigma: float, y: int) -> co
 
 def _dlog_transform(group: CharacterGroup, exponents: np.ndarray,
                     weights: np.ndarray) -> np.ndarray:
-    """vec[k] = sum_i weights[i] e^{2 pi i k exponents[i] / order}, all k.
+    """vec[k] = sum_i weights[i] e^{2 pi i k exponents[i] / order}, for k <= order/2.
 
     Since chi_k(n) = e^{2 pi i k dlog(n) / order}, a whole-group character sum
     is one length-order DFT of the real weights bucketed by exponent (the
-    discrete-log reindexing of Rader, 1968).  The upper half is mirrored from
-    the lower one, so vec[-k] == conj(vec[k]) holds exactly.
+    discrete-log reindexing of Rader, 1968).  The weights are real, so
+    vec[order - k] = conj(vec[k]): ``characters.unfold`` gives the rest.
     """
-    order = group.order
-    half = np.conj(np.fft.rfft(np.bincount(exponents, weights, minlength=order)))
-    vec = np.empty(order, dtype=np.complex128)
-    vec[: len(half)] = half
-    vec[len(half) :] = np.conj(half[1 : order - len(half) + 1][::-1])
-    return vec
+    return np.conj(np.fft.rfft(np.bincount(exponents, weights, minlength=group.order)))
 
 
 def truncated_l_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
@@ -178,7 +173,8 @@ def _truncated_l_vector(group: CharacterGroup, sigma: float, y: int) -> np.ndarr
     which = np.repeat(np.arange(len(ps)), counts)
     m = np.arange(len(which)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
     exponents = (m * group.dlog.dlog[ps % group.q][which]) % group.order
-    return np.exp(_dlog_transform(group, exponents, a[which] ** m / m))
+    # exp of the half only: exp(conj z) is conj(exp z), bit for bit
+    return unfold(np.exp(_dlog_transform(group, exponents, a[which] ** m / m)), group.order)
 
 
 def prime_sum_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
@@ -192,7 +188,7 @@ def _prime_sum_vector(group: CharacterGroup, sigma: float, y: int) -> np.ndarray
     ps = primes_up_to(y)
     ps = ps[ps != group.q]
     w = ps.astype(np.float64) ** (-sigma)
-    return _dlog_transform(group, group.dlog.dlog[ps % group.q], w)
+    return unfold(_dlog_transform(group, group.dlog.dlog[ps % group.q], w), group.order)
 
 
 def logderiv_poly_all(group: CharacterGroup, sigma: float, y: int) -> np.ndarray:
@@ -207,7 +203,7 @@ def _logderiv_poly_vector(group: CharacterGroup, sigma: float, y: int) -> np.nda
     keep = ns % group.q != 0  # chi(n) = 0 there anyway
     ns, logps = ns[keep], logps[keep]
     w = logps * ns.astype(np.float64) ** (-sigma)
-    return _dlog_transform(group, group.dlog.dlog[ns % group.q], w)
+    return unfold(_dlog_transform(group, group.dlog.dlog[ns % group.q], w), group.order)
 
 
 # ---------------------------------------------------------------------------

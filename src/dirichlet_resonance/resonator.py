@@ -51,7 +51,7 @@ from typing import Union
 import numpy as np
 
 from .arithmetic import primes_up_to, require_positive, smooth_walk
-from .characters import Character, CharacterGroup, group_sum, power_reduce
+from .characters import Character, CharacterGroup, group_sum, power_reduce, unfold
 # max_ell_for_sigma is not used here; tests/test_acceptance.py imports it from here
 from .constants import (factorial_ratio, max_ell_for_sigma, require_finite,  # noqa: F401
                         require_strip_ell, require_strip_sigma)
@@ -142,7 +142,7 @@ def resonator_sq_all(group: CharacterGroup, kernel: ResonanceKernel) -> np.ndarr
     With chi_k(p) = e^{i theta}, theta = 2 pi k dlog(p)/N, each factor is
     |1 - r e^{i theta}|^2 = (1 - r)^2 + 4 r sin^2(theta/2).  Both terms are
     >= 0, so nothing cancels as r -> 1.  sin^2(pi e/N) is tabulated for
-    e <= N/2 and mirrored, so sin2[N - e] == sin2[e] bitwise: the weight of
+    e <= N/2 and unfolded, so sin2[N - e] == sin2[e] bitwise: the weight of
     chi_{N-k} = conj(chi_k) equals that of chi_k, and k <= N/2 covers the group.
     """
     return group.stored(_resonator_sq_vector, kernel)
@@ -154,9 +154,7 @@ def _resonator_sq_vector(group: CharacterGroup, kernel: ResonanceKernel) -> np.n
     half = order // 2
     if len(ps) == 0:
         return np.ones(half + 1, dtype=np.float64)
-    sin2 = np.empty(order, dtype=np.float64)
-    sin2[: half + 1] = np.sin(np.pi * np.arange(half + 1) / order) ** 2
-    sin2[half + 1 :] = sin2[1 : order - half][::-1]
+    sin2 = unfold(np.sin(np.pi * np.arange(half + 1) / order) ** 2, order)
     d = group.dlog.dlog[ps % group.q]
     ks = np.arange(half + 1, dtype=np.int64)
     e = np.empty_like(ks)

@@ -4,7 +4,8 @@ The library keeps |R(chi_k)|^2, the joint products and the S2 summands for
 k <= N/2 only (N = q - 1), since chi_{N-k} = conj(chi_k).  ``unfold``
 rebuilds the whole-group vector from such a half, and the ``full_*``
 functions are the full-length reductions the half path replaced, kept here
-so the tests can check it against them bit for bit.
+so the tests can check it against them bit for bit.  ``OVERFLOWING_S2``
+lists configurations whose S2 summands overflow.
 """
 
 import math
@@ -13,6 +14,9 @@ import numpy as np
 
 from dirichlet_resonance.arithmetic import primes_up_to
 from dirichlet_resonance.lfunctions import logderiv_poly_all, prime_sum_all, truncated_l_all
+
+# (theorem, sigma, X) at q = 101 with Y = X: S2 summands overflow to both +inf and -inf
+OVERFLOWING_S2 = [(2, 0.75, 20000), (3, None, 9000), (4, 0.75, 14000)]
 
 
 def unfold(half):

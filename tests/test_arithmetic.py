@@ -13,6 +13,7 @@ from dirichlet_resonance.arithmetic import (
     PrecisionError,
     build_dlog,
     enumerate_smooth,
+    exact_or_ieee_sum,
     exact_sum,
     harmonic,
     is_prime,
@@ -109,6 +110,18 @@ class TestRequireInteger:
         with pytest.raises(ValueError) as info:
             require_integer("y", value)
         assert str(info.value) == f"y must be an integer, got {value!r}"
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        assert [n for n in range(-3, 3001) if is_prime(n)] == trial_division_primes(3000)
+
+    @pytest.mark.parametrize("n,prime", [
+        (2**31 - 1, True), (2**31 + 1, False), (999983, True), (1000001, False),
+        (9973**2, False), (2 * 1518500213, False), (3_037_000_507, True),
+    ])
+    def test_large(self, n, prime):
+        assert is_prime(n) is prime
 
 
 class TestPrimitiveRoot:
@@ -448,3 +461,16 @@ class TestExactSum:
                 math.fsum(values.tolist())
             with pytest.raises(fsum_err.type):
                 exact_sum(values)
+
+    @pytest.mark.parametrize("n", [3, _CUT + 1])
+    def test_exact_or_ieee_sum(self, n):
+        """exact_sum's bits for finite values; the IEEE sum where math.fsum raises."""
+        for _ in range(4):
+            values = _adversarial("mixed-magnitudes", n)
+            assert same_double(exact_or_ieee_sum(values), exact_sum(values))
+        assert exact_or_ieee_sum(_padded([1.0, math.inf], n)) == math.inf
+        assert math.isnan(exact_or_ieee_sum(_padded([1.0, math.nan, math.inf], n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(exact_or_ieee_sum(_padded([math.inf, -math.inf], n)))
+            assert exact_or_ieee_sum(_padded([1e308] * 3, n)) == math.inf
+            assert exact_or_ieee_sum(_padded([-1.7e308, -1.7e308], n)) == -math.inf

@@ -12,7 +12,9 @@ from dirichlet_resonance.characters import (
     CharacterGroup,
     eligible,
     orthogonality_sum,
+    unfold,
 )
+from full_group import unfold as concatenated_unfold
 
 PRIMES_TO_1000 = [int(p) for p in sieve_primes(1000).primes if p >= 3]
 
@@ -181,6 +183,28 @@ class TestEligible:
     def test_ell_validation(self, g5):
         with pytest.raises(ValueError):
             eligible(g5, 0)
+
+
+class TestUnfold:
+    """``unfold`` gives, bit for bit, the tests' own concatenation of the
+    half with its reversed conjugate, for real and complex halves."""
+
+    SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e308]
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 100, 1008, 10006])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_matches_the_concatenation_bitwise(self, order, dtype):
+        rng = np.random.default_rng(order)
+        half = rng.normal(size=order // 2 + 1).astype(dtype)
+        if dtype is np.complex128:
+            half.imag = rng.normal(size=len(half))
+        specials = np.resize(self.SPECIAL, len(half))
+        half[rng.permutation(len(half))[: len(half) // 2]] = specials[: len(half) // 2]
+        if dtype is np.complex128:
+            half.imag[rng.permutation(len(half))[: len(half) // 2]] = specials[: len(half) // 2]
+        got, want = unfold(half, order), concatenated_unfold(half)
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+        assert got[: len(half)].tobytes() == half.tobytes()
 
 
 class TestOrthogonality:

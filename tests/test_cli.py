@@ -8,14 +8,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dirichlet_resonance import cli, experiments
 from dirichlet_resonance.cli import build_parser, main
+from full_group import OVERFLOWING_S2
 
 
 def run_cli(argv, capsys):
@@ -60,8 +63,35 @@ class TestConstantsCommand:
 
 
 def error_lines(err):
-    """stderr without argparse's usage text (its first line and the indented rest)."""
-    return [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    """The lines of stderr (split at newlines only: an argument may hold a
+    form feed; a blank line counts) without the final newline and argparse's
+    usage text (its first line and the indented rest)."""
+    return [line for line in err.removesuffix("\n").split("\n")
+            if not line.startswith(("usage:", " "))]
+
+
+def main_captured(argv):
+    """(exit status, stdout, stderr) of main(argv), with RuntimeWarnings raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_exit(argv, code, err, failures):
+    """Exit 0 with no failure, 1 with the failures in the written report, or
+    2 with one error line."""
+    assert code in (0, 1, 2), (argv, err)
+    event(f"exit {code}")
+    if code == 2:
+        assert len(error_lines(err)) == 1, (argv, err)
+    else:
+        assert err == "" and (code == 1) == bool(failures), (argv, err, failures)
 
 
 _SIGMAS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 1.0, 0.501, 0.999]),
@@ -80,18 +110,162 @@ def test_constants_ends_in_exit_0_or_2(ells, sigmas, columns):
         argv += ["--sigma", *map(repr, sigmas)]
     if columns is not None:
         argv += ["--columns", ",".join(columns)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    assert code in (0, 2), (argv, err.getvalue())
-    if code == 2:
-        assert len(error_lines(err.getvalue())) == 1, (argv, err.getvalue())
-    else:
-        assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 1 + len(ells) * max(
-            1, len(sigmas)), argv
+    code, out, err = main_captured(argv)
+    assert code != 1
+    check_exit(argv, code, err, [])
+    if code == 0:
+        assert len(out.splitlines()) == 1 + len(ells) * max(1, len(sigmas)), argv
+
+
+# Accepted inputs stay cheap: q <= 1e4, ell <= 50, X and Y <= 1e5.  Rejected
+# ones may be huge, but no X or Y lies in (1e5, 1e8]: Y defaults to ceil(X)
+# and would be sieved that far.
+_ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1.0])
+_PAST_BUDGET = st.floats(1e8, 1e308, exclude_min=True)
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.lists(st.integers(-2, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_PRIME_Q = st.sampled_from([3, 5, 7, 11, 17, 101, 211, 499, 1009, 9973])
+_STRIP_SIGMA = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+# per key: (accepted values, any value of the key's own kind)
+_FIELDS = {
+    "theorem": (st.integers(1, 4), st.integers(-1, 5)),
+    "q": (_PRIME_Q, st.integers(-3, 10**4) | st.sampled_from(
+        [10**9, 999999999, 3037000499, 3037000500, 2**61 - 1, 10**30])),
+    "ell": (st.integers(1, 50), st.integers(-1, 50) | st.sampled_from([10**6, 10**30])),
+    "x": (st.floats(0.5, 1e5), st.floats(0.0, 1e5) | st.integers(-5, 10**5) | _PAST_BUDGET
+          | _ODD_FLOATS),
+    "y": (st.integers(1000, 10**5), st.integers(-2, 10**5) | _PAST_BUDGET | _ODD_FLOATS
+          | st.sampled_from([1000.7, 1e3, 20.5, 10**9, 10**20])),
+    "sigma": (_STRIP_SIGMA, st.floats(0.4, 1.1) | _ODD_FLOATS | st.sampled_from([0.5000001, 1.0])),
+    "excluded": (st.lists(st.integers(0, 10**4), max_size=3),
+                 st.lists(st.integers(-3, 10**4) | st.just(10**30), max_size=3)),
+    "endpoint_margin": (st.floats(0.0, 0.99), st.floats(-0.5, 1.5) | _ODD_FLOATS),
+}
+
+
+def _changed(draw, values: dict, fields: dict, unknown):
+    """``values`` as drawn, or with one key replaced by any value of its kind
+    or another, one key dropped, or an unknown key added."""
+    change = draw(st.sampled_from(["none", "none", "replace", "drop", "add"]))
+    if change == "replace":
+        key = draw(st.sampled_from(sorted(fields)))
+        values[key] = draw(fields[key][1] | _JUNK)
+    elif change == "drop" and values:
+        del values[draw(st.sampled_from(sorted(values)))]
+    elif change == "add":
+        values[draw(unknown)] = draw(_JUNK)
+    return values
+
+
+@st.composite
+def _run_configs(draw):
+    """A valid config (sigma given iff the theorem takes one, the other keys
+    optional) changed by ``_changed``, or a document that is not an object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JUNK | st.integers() | _ODD_FLOATS)
+    theorem = draw(st.integers(1, 4))
+    config = {"theorem": theorem, "q": draw(_PRIME_Q)}
+    if theorem in (2, 4):
+        config["sigma"] = draw(_STRIP_SIGMA)
+    for key in ("ell", "x", "y", "excluded", "endpoint_margin"):
+        if draw(st.booleans()):
+            config[key] = draw(_FIELDS[key][0])
+    return _changed(draw, config, _FIELDS,
+                    st.sampled_from(["output", "zero_free_constant_a", ""]) | st.text(max_size=2))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=5000)
+@given(config=_run_configs())
+def test_run_ends_in_exit_0_1_or_2(config):
+    """Any JSON document: a report with exit 0 or 1 (1 exactly when it lists
+    failures), or exit 2 with one error line."""
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        argv = ["run", path, "--output", out]
+        code, _, err = main_captured(argv)
+        failures = []
+        if code in (0, 1):
+            with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+                failures = json.load(fh)["failures"]
+    check_exit([*argv, config], code, err, failures)
+
+
+def _argv(flags: dict) -> list[str]:
+    """Each flag, then its value as text: a str as it is, a list item by
+    item, anything else as its repr."""
+    return [text for flag, value in flags.items()
+            for text in (flag, *(v if isinstance(v, str) else repr(v)
+                                 for v in (value if isinstance(value, list) else [value])))]
+
+
+_NEW_FLAGS = st.sampled_from(["--bogus", "-x"])
+_Y_TEXTS = ["1e3", "1e5", "1000.7", "1e9", "100000001", "1e400", "nan", "inf", "-0", "x"]
+_SWEEP_FLAGS = {
+    "--theorem": (st.integers(1, 4), st.integers(-1, 5)),
+    "--primes": (st.builds(lambda hi, width: f"{hi - width}..{hi}",
+                           st.integers(17, 3000), st.integers(0, 120)),  # a huge HI is sieved
+                 st.sampled_from(["100-200", "..", "a..b", "5..", "3..30", "200..100", "-10..0"])),
+    "--ell": _FIELDS["ell"],
+    "--sigma": (_STRIP_SIGMA, _FIELDS["sigma"][1]),
+    "--margin": _FIELDS["endpoint_margin"],
+    "--Y": (st.integers(1000, 10**5), st.integers(-2, 10**5) | st.sampled_from(_Y_TEXTS)),
+}
+
+
+@st.composite
+def _sweep_argv(draw):
+    theorem = draw(_SWEEP_FLAGS["--theorem"][0])
+    given = {"--theorem": theorem, "--primes": draw(_SWEEP_FLAGS["--primes"][0])}
+    if theorem in (2, 4):
+        given["--sigma"] = draw(_STRIP_SIGMA)
+    for flag in ("--ell", "--margin", "--Y"):
+        if draw(st.booleans()):
+            given[flag] = draw(_SWEEP_FLAGS[flag][0])
+    return ["sweep", "--jobs", "1", *_argv(_changed(draw, given, _SWEEP_FLAGS, _NEW_FLAGS))]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=5000)
+@given(argv=_sweep_argv())
+def test_sweep_ends_in_exit_0_1_or_2(argv):
+    """Any sweep up to HI = 3000: rows and exit 0 or 1 (1 exactly when a row
+    lists failures), or exit 2 with one error line."""
+    with tempfile.TemporaryDirectory() as out:
+        code, _, err = main_captured([*argv, "--output", out])
+        failures = []
+        if code in (0, 1):
+            with open(os.path.join(out, "sweep.json"), encoding="utf-8") as fh:
+                failures = [f for row in json.load(fh)["rows"] for f in row["failures"]]
+    check_exit(argv, code, err, failures)
+
+
+_ORACLE_FLAGS = {
+    "--q": (st.sampled_from([3, 5, 7, 101, 211, 499]),
+            st.integers(-3, 500) | st.sampled_from([3037000500, 10007])),
+    "--sigma": (st.just(1.0) | _STRIP_SIGMA, _FIELDS["sigma"][1]),
+    "--Y": (st.lists(st.integers(1, 10**5), min_size=1, max_size=3),
+            st.lists(st.integers(-2, 10**5) | st.sampled_from(_Y_TEXTS), max_size=3)),
+}
+
+
+@st.composite
+def _oracle_argv(draw):
+    given = {"--q": draw(_ORACLE_FLAGS["--q"][0])}
+    for flag in ("--sigma", "--Y"):
+        if draw(st.booleans()):
+            given[flag] = draw(_ORACLE_FLAGS[flag][0])
+    return ["oracle", *_argv(_changed(draw, given, _ORACLE_FLAGS, _NEW_FLAGS))]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=5000)
+@given(argv=_oracle_argv())
+def test_oracle_ends_in_exit_0_or_2(argv):
+    """Any q, sigma and Y grid: a table and exit 0, or exit 2 with one error line."""
+    code, _, err = main_captured(argv)
+    assert code != 1
+    check_exit(argv, code, err, [])
 
 
 class TestRunCommand:
@@ -140,8 +314,9 @@ class TestRunCommand:
         '{"theorem": 1, "q": 101, "x": NaN}',
         '{"theorem": 1, "q": 5, "ell": 4, "x": 3, "y": 10}',
         '{"theorem": 1, "q": 101, "x": 20.0, "zero_free_constant_a": 0.5}',
+        '{"theorem": 1, "q": 101, "endpoint_margin": null}',
     ], ids=["default-x-small-q", "excluded-not-list", "q-string", "q-float",
-            "ell-string", "x-nan", "empty-eligible-set", "removed-key"])
+            "ell-string", "x-nan", "empty-eligible-set", "removed-key", "margin-null"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, payload):
         path = tmp_path / "config.json"
         path.write_text(payload)
@@ -149,7 +324,6 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_report_fails(self, tmp_path, capsys):
         # X = 2000 overflows |R(chi)|^2, so S1 = inf and the ratio is NaN
         cfg = self._write_config(
@@ -158,6 +332,31 @@ class TestRunCommand:
         code, out, _ = run_cli(["run", cfg, "--output", str(tmp_path)], capsys)
         assert code == 1
         assert "FAIL" in out and "non-finite values: S1=inf" in out
+
+    @pytest.mark.parametrize("excluded", [[], [50]], ids=["default", "quadratic-excluded"])
+    @pytest.mark.parametrize("theorem,sigma,x", OVERFLOWING_S2)
+    def test_infinite_summands_of_both_signs_fail_in_the_report(
+            self, tmp_path, capsys, theorem, sigma, x, excluded):
+        """S2 summands of +inf and -inf: exit 1 with the failure listed, no
+        traceback and no numpy warning."""
+        cfg = self._write_config(tmp_path, {"theorem": theorem, "q": 101, "x": x, "y": x,
+                                            "sigma": sigma, "excluded": excluded})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["run", cfg, "--output", str(tmp_path)], capsys)
+        assert code == 1 and err == ""
+        assert "failure: non-finite values: S1=inf, S2=(nan+nanj)" in out
+        assert json.loads((tmp_path / "report.json").read_text())["failures"]
+
+    def test_failing_run_leaves_stderr_empty(self, tmp_path):
+        cfg = self._write_config(tmp_path, {"theorem": 2, "q": 101, "x": 20000, "y": 20000,
+                                            "sigma": 0.75})
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-m", "dirichlet_resonance", "run", cfg,
+                               "--output", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (1, "")
+        assert done.stdout.startswith("FAIL theorem 2 q=101")
 
     def test_im_s2_failure_is_reported(self, tmp_path, capsys, monkeypatch):
         s2_sum = experiments._s2_sum

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -45,7 +46,7 @@ from dirichlet_resonance.resonator import (
     resonator_sq_all,
     s2_terms,
 )
-from full_group import unfold
+from full_group import OVERFLOWING_S2, unfold
 
 LOG4 = math.log(4.0)
 
@@ -277,12 +278,31 @@ class TestExcludedCharacterHook:
 
 
 class TestFailuresAreReported:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_values(self):
         # X = 2000 overflows |R(chi)|^2: S1 = inf, S2 = inf + nan i, ratio = nan
         report = run_theorem(ExperimentConfig(1, 1009, 1, x=2000.0, y=2001))
         assert not report.passed
         assert report.failures[0].startswith("non-finite values: S1=inf, S2=(inf+nanj)")
+
+    @pytest.mark.parametrize("excluded", [(), (50,)], ids=["default", "quadratic-excluded"])
+    @pytest.mark.parametrize("theorem,sigma,x", OVERFLOWING_S2)
+    def test_summands_of_both_infinite_signs(self, theorem, sigma, x, excluded):
+        """S2's summands at chi_0 and the quadratic chi_50 overflow to +inf
+        and -inf: S2 and, with chi_50 excluded, the excluded sum are the IEEE
+        sum nan, not a math.fsum ValueError, and no numpy warning is raised."""
+        cfg = ExperimentConfig(theorem, 101, 1, x=float(x), y=x, sigma=sigma, excluded=excluded)
+        with np.errstate(all="ignore"):
+            kernel = LinearKernel(cfg.x) if sigma is None else SigmaKernel(cfg.x, sigma)
+            terms = s2_terms(CharacterGroup(101), experiments._TARGETS[theorem], 1, kernel, x)
+        assert terms.real[0] == math.inf and terms.real[50] == -math.inf
+        with pytest.raises(ValueError, match="-inf \\+ inf"):
+            math.fsum(terms.real[[0, 50]].tolist())  # the excluded sum with chi_50 excluded
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_theorem(cfg)
+        assert not report.passed and report.s1 == math.inf
+        assert math.isnan(report.s2.real) and math.isnan(report.certificate)
+        assert report.failures[0].startswith("non-finite values: S1=inf, S2=(nan+nanj)")
 
     def test_s1_below_phi(self, monkeypatch):
         monkeypatch.setattr(experiments, "s1", lambda group, kernel: 1.0)

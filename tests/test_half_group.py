@@ -50,7 +50,6 @@ def _configs(q):
                                        sigma=sigma, excluded=excluded)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("q", QS)
 def test_run_theorem_matches_the_full_length_form(monkeypatch, q):
     configs = list(_configs(q))
