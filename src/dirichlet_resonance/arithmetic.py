@@ -1,7 +1,7 @@
 """The prime sieve and prime-power table, discrete logs, the smooth-number walk
 and the classical prime sums behind the resonance bounds, plus the input rules
-every module shares: ``require_positive``, ``require_integer``, ``require_cutoff``
-and ``require_odd_prime``.
+every module shares: ``require_positive``, ``require_integer``, ``require_cutoff``,
+``require_ell_budget`` and ``require_odd_prime``.
 
 Everything here is exact integer combinatorics plus double-precision prime
 sums.  Long sums are correctly rounded (``math.fsum``, or ``exact_sum`` and
@@ -35,6 +35,7 @@ __all__ = [
     "require_positive",
     "require_integer",
     "require_cutoff",
+    "require_ell_budget",
     "require_odd_prime",
     "primitive_root",
     "build_dlog",
@@ -222,6 +223,18 @@ def require_cutoff(y: int) -> None:
     require_positive("the truncation cutoff Y", y)
     if y > 10**8:
         raise PrecisionError(f"cutoff {y} exceeds the double-precision budget (1e8)")
+
+
+def require_ell_budget(ell: int, order: int | None = None) -> None:
+    """Raise ValueError unless 1 <= ell within its time budget: ell * order <= 2^30
+    for the power family over ``order`` = q - 1 characters (``power_reduce`` and
+    ``eligible``, about 11 ns a unit: 12 s), or, with no ``order``, ell <= 2^20
+    for the O(ell) constant series S and Q (about 0.1 s each)."""
+    require_positive("ell", ell)
+    if order is not None and ell * order > 2**30:
+        raise ValueError(f"ell * (q - 1) = {ell} * {order} exceeds the time budget (2^30)")
+    if order is None and ell > 2**20:
+        raise ValueError(f"ell = {ell} exceeds the constant-series time budget (2^20)")
 
 
 def require_odd_prime(q: int) -> None:

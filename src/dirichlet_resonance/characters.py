@@ -25,7 +25,6 @@ is the intended parallelism axis everywhere else.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -67,12 +66,10 @@ class CharacterGroup:
         half = order // 2
         k = np.arange(half + 1)
         roots[: half + 1] = np.exp(2j * np.pi * k / order)
-        roots[0] = 1.0
         if order % 2 == 0:
             roots[half] = -1.0
         # mirror the upper half so conjugate indices are exact conjugates
-        if half + 1 < order:
-            roots[half + 1 :] = np.conj(roots[1 : order - half][::-1])
+        roots[half + 1 :] = np.conj(roots[1 : order - half][::-1])
         roots.setflags(write=False)
         return roots
 
@@ -120,24 +117,10 @@ class Character:
     def is_principal(self) -> bool:
         return self.index == 0
 
-    def order(self) -> int:
-        """Multiplicative order: (q-1)/gcd(index, q-1)."""
-        return self.group.order // math.gcd(self.index, self.group.order)
-
     def power(self, j: int) -> "Character":
         if j < 0:
             raise ValueError(f"power needs j >= 0, got {j}")
         return Character(self.group, (self.index * j) % self.group.order)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Character)
-            and other.group.q == self.group.q
-            and other.index == self.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group.q, self.index))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Character(q={self.group.q}, index={self.index})"

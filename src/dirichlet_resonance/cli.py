@@ -16,7 +16,7 @@ import sys
 
 from . import constants as con
 from . import experiments as exp
-from .arithmetic import require_integer, require_positive
+from .arithmetic import require_ell_budget, require_integer
 
 __all__ = ["main", "build_parser"]
 
@@ -70,9 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=(100, 1000, 10000, 100000))
     p_oracle.add_argument("--output", type=str, default=None, help="output directory")
 
-    p_verify = sub.add_parser("verify", help="run the property battery")
-    p_verify.add_argument("--quick", action="store_true",
-                          help="small-q battery (a few seconds)")
+    sub.add_parser("verify", help="run the property battery")
     return parser
 
 
@@ -125,7 +123,7 @@ def _cmd_constants(args, parser) -> int:
     rows = []
     try:  # an input rule, or a constant that over- or underflows
         for ell in args.ell:
-            require_positive("ell", ell)
+            require_ell_budget(ell)
         for sigma in args.sigma:
             con.require_strip_sigma(sigma)
         for ell in args.ell:
@@ -237,8 +235,8 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    checks = exp.run_verification(quick=args.quick)
+def _cmd_verify() -> int:
+    checks = exp.run_verification()
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
     n_fail = sum(1 for c in checks if not c.passed)
@@ -254,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         "run": lambda: _cmd_run(args),
         "sweep": lambda: _cmd_sweep(args, parser),
         "oracle": lambda: _cmd_oracle(args),
-        "verify": lambda: _cmd_verify(args),
+        "verify": _cmd_verify,
     }
     try:
         return commands[args.command]()

@@ -43,7 +43,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .arithmetic import (PrecisionError, exact_or_ieee_sum, mertens_product, primes_up_to,
-                         require_cutoff, require_integer, require_odd_prime, require_positive)
+                         require_cutoff, require_ell_budget, require_integer, require_odd_prime,
+                         require_positive)
 from .characters import CharacterGroup, eligible, group_sum
 from .constants import (binomial_beta_identity_check, default_strip_epsilon, joint_l_line_constant,
                         joint_l_strip_constant, joint_logderiv_line_coefficient,
@@ -135,10 +136,10 @@ class ExperimentConfig:
         try:
             y = y if y is None else require_integer("y", y)
             require_odd_prime(self.q)
-            require_positive("ell", self.ell)
             if self.ell >= self.q - 1:
                 raise ValueError(f"the eligible set is empty: ell = {self.ell} >= q - 1 = "
                                  f"{self.q - 1}, the largest character order mod q")
+            require_ell_budget(self.ell, self.q - 1)
             if needs_sigma and self.sigma is None:
                 raise ValueError(f"theorem {self.theorem} requires sigma")
             if not needs_sigma and self.sigma is not None:
@@ -601,12 +602,11 @@ def battery_configs(qs, ells, xs, sigmas):
                         yield ExperimentConfig(4, q, ell, x=x, y=1000, sigma=sigma)
 
 
-def _check_resonance(quick: bool) -> list[CheckResult]:
-    grid = (([101], [1, 2], [20.0], [0.9]) if quick
-            else ([101, 211], [1, 2, 3], [20.0, 50.0], [0.75, 0.9]))
+def _check_resonance() -> list[CheckResult]:
+    configs = list(battery_configs([101, 211], [1, 2, 3], [20.0, 50.0], [0.75, 0.9]))
     out = []
     for theorem in (1, 2, 3, 4):
-        reports = [run_theorem(c) for c in battery_configs(*grid) if c.theorem == theorem]
+        reports = [run_theorem(c) for c in configs if c.theorem == theorem]
         ok = all(r.passed for r in reports)
         worst = min(r.margin for r in reports)
         out.append(CheckResult(
@@ -691,13 +691,12 @@ def _check_mertens() -> CheckResult:
     return CheckResult("mertens-band", ok, f"ratio to e^gamma log X = {val / scale:.8f}")
 
 
-def run_verification(quick: bool = True) -> list[CheckResult]:
+def run_verification() -> list[CheckResult]:
     """The named property battery behind the ``verify`` subcommand."""
-    qs = [5, 7, 11, 101] if quick else [int(p) for p in primes_up_to(101)][1:]
     checks: list[CheckResult] = []
-    checks.append(_check_orthogonality(qs))
+    checks.append(_check_orthogonality([int(p) for p in primes_up_to(101)][1:]))
     checks.append(_check_s1_closed_form())
-    checks.extend(_check_resonance(quick))
+    checks.extend(_check_resonance())
     checks.extend(_check_oracle())
     checks.append(_check_constants())
     checks.append(_check_admissibility())

@@ -91,8 +91,6 @@ def truncated_l(chi: Character, sigma: float, y: int) -> LValue:
     require_cutoff(y)
     ps = primes_up_to(y)
     ps = ps[ps != chi.group.q]
-    if len(ps) == 0:
-        return LValue(1 + 0j)
     vals = chi.values(ps)
     w = ps.astype(np.float64) ** (-sigma)
     logs = -np.log(1.0 - vals * w)
@@ -107,8 +105,6 @@ def logderiv_poly(chi: Character, sigma: float, y: int) -> LValue:
     _check_sigma(sigma)
     require_cutoff(y)
     ns, logps = prime_powers_up_to(y)
-    if len(ns) == 0:
-        return LValue(0j)
     vals = chi.values(ns)  # zero at multiples of q
     w = logps * ns.astype(np.float64) ** (-sigma)
     return LValue(_fsum_complex(vals * w))

@@ -113,10 +113,7 @@ ResonanceKernel = Union[LinearKernel, SigmaKernel]
 
 def _support(kernel: ResonanceKernel, exclude_q: int | None = None):
     """(primes, r-values) on the kernel support, optionally skipping p = q."""
-    cap = math.floor(kernel.x)
-    if cap < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    ps = primes_up_to(cap)
+    ps = primes_up_to(math.floor(kernel.x))
     if exclude_q is not None:
         ps = ps[ps != exclude_q]
     return ps, kernel.prime_values(ps)
@@ -129,8 +126,6 @@ def _support(kernel: ResonanceKernel, exclude_q: int | None = None):
 def resonator_sq(chi: Character, kernel: ResonanceKernel) -> float:
     """|R(chi)|^2 = prod_{p <= X, p != q} |1 - r(p) chi(p)|^-2."""
     ps, rv = _support(kernel, exclude_q=chi.group.q)
-    if len(ps) == 0:
-        return 1.0
     vals = chi.values(ps)
     factors = np.abs(1.0 - rv * vals) ** 2
     return float(1.0 / np.prod(factors))
@@ -152,8 +147,6 @@ def _resonator_sq_vector(group: CharacterGroup, kernel: ResonanceKernel) -> np.n
     ps, rv = _support(kernel, exclude_q=group.q)
     order = group.order
     half = order // 2
-    if len(ps) == 0:
-        return np.ones(half + 1, dtype=np.float64)
     sin2 = unfold(np.sin(np.pi * np.arange(half + 1) / order) ** 2, order)
     d = group.dlog.dlog[ps % group.q]
     ks = np.arange(half + 1, dtype=np.int64)
@@ -271,8 +264,6 @@ def bound_l_product(kernel: LinearKernel, ell: int) -> float:
     of the line-target ratio bound (not its asymptotic expansion)."""
     require_positive("ell", ell)
     ps, rv = _support(kernel)
-    if len(ps) == 0:
-        return 1.0
     pf = ps.astype(np.float64)
     logs = []
     for j in range(1, ell + 1):
@@ -284,8 +275,6 @@ def bound_prime_sum(kernel: SigmaKernel, ell: int) -> float:
     """sum_{j<=ell} sum_{p<=X} r(p)^j p^-sigma (strip L target)."""
     require_positive("ell", ell)
     ps, rv = _support(kernel)
-    if len(ps) == 0:
-        return 0.0
     w = ps.astype(np.float64) ** (-kernel.sigma)
     terms = []
     for j in range(1, ell + 1):
@@ -297,8 +286,6 @@ def p_j(kernel: ResonanceKernel, j: int) -> float:
     """P_j = sum_{p<=X} (log p / p^sigma) r(p)^j, the per-factor bound piece."""
     require_positive("j", j)
     ps, rv = _support(kernel)
-    if len(ps) == 0:
-        return 0.0
     pf = ps.astype(np.float64)
     terms = np.log(pf) / pf**kernel.sigma * rv**j
     return math.fsum(terms.tolist())

@@ -5,7 +5,9 @@ k <= N/2 only (N = q - 1), since chi_{N-k} = conj(chi_k).  ``unfold``
 rebuilds the whole-group vector from such a half, and the ``full_*``
 functions are the full-length reductions the half path replaced, kept here
 so the tests can check it against them bit for bit.  ``OVERFLOWING_S2``
-lists configurations whose S2 summands overflow.
+lists configurations whose S2 summands overflow, ``VERIFY_CHECKS`` the
+``verify`` battery's check names in order, and ``bits`` gives what a
+bit-for-bit comparison of a scalar compares.
 """
 
 import math
@@ -17,6 +19,17 @@ from dirichlet_resonance.lfunctions import logderiv_poly_all, prime_sum_all, tru
 
 # (theorem, sigma, X) at q = 101 with Y = X: S2 summands overflow to both +inf and -inf
 OVERFLOWING_S2 = [(2, 0.75, 20000), (3, None, 9000), (4, 0.75, 14000)]
+
+VERIFY_CHECKS = [
+    "orthogonality-delta", "s1-closed-form", "resonance-theorem-1", "resonance-theorem-2",
+    "resonance-theorem-3", "resonance-theorem-4", "oracle-class-numbers",
+    "oracle-truncation-q5", "constants-identities", "admissibility-ranges", "mertens-band",
+]
+
+
+def bits(value):
+    """Type, dtype and bytes of a scalar: 0.0 and -0.0 differ."""
+    return type(value), np.asarray(value).dtype, np.asarray(value).tobytes()
 
 
 def unfold(half):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from dirichlet_resonance import cli, experiments
 from dirichlet_resonance.cli import build_parser, main
-from full_group import OVERFLOWING_S2
+from full_group import OVERFLOWING_S2, VERIFY_CHECKS
 
 
 def run_cli(argv, capsys):
@@ -99,12 +99,14 @@ _SIGMAS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 1.0, 0.
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=1000)
-@given(ells=st.lists(st.integers(-1, 10**5), min_size=1, max_size=3),
+@given(ells=st.lists(st.integers(-1, 10**5) | st.sampled_from([2**20 + 1, 10**7, 10**30]),
+                     min_size=1, max_size=3),
        sigmas=st.lists(_SIGMAS, max_size=2),
        columns=st.none() | st.lists(st.sampled_from(sorted(cli._CONST_COLUMNS)), unique=True))
 def test_constants_ends_in_exit_0_or_2(ells, sigmas, columns):
-    """Any ell up to 1e5, any sigma and any set of columns: a table and
-    exit 0, or exit 2 with one error line, in well under the deadline."""
+    """Any ell up to 1e5 or past the 2^20 budget, any sigma and any set of
+    columns: a table and exit 0, or exit 2 with one error line, in well
+    under the deadline."""
     argv = ["constants", "--ell", *map(str, ells)]
     if sigmas:
         argv += ["--sigma", *map(repr, sigmas)]
@@ -161,9 +163,14 @@ def _changed(draw, values: dict, fields: dict, unknown):
 @st.composite
 def _run_configs(draw):
     """A valid config (sigma given iff the theorem takes one, the other keys
-    optional) changed by ``_changed``, or a document that is not an object."""
-    if draw(st.integers(0, 9)) == 0:
+    optional) changed by ``_changed``, a document that is not an object, or
+    an ell * (q - 1) past the 2^30 budget, refused before any evaluation."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
         return draw(_JUNK | st.integers() | _ODD_FLOATS)
+    if kind == 1:
+        return {"theorem": draw(st.integers(1, 4)), "q": 1000003,
+                "ell": draw(st.integers(1074, 1000001) | st.just(10**30))}
     theorem = draw(st.integers(1, 4))
     config = {"theorem": theorem, "q": draw(_PRIME_Q)}
     if theorem in (2, 4):
@@ -482,11 +489,19 @@ class TestInputErrorsExitTwo:
          "Y must be >= 1, got 0"),
         (["run", "{dir}/big_x.json"],
          "X = 1e+308 needs a cutoff Y >= X past the double-precision budget (1e8)"),
+        (["verify", "--quick"], "unrecognized arguments: --quick"),
+        (["run", "{dir}/big_ell.json"], "ell * (q - 1) = 1074 * 1000002 exceeds the time budget"),
+        (["sweep", "--theorem", "3", "--primes", "1000003..1000003", "--ell", "1074"],
+         "ell * (q - 1) = 1074 * 1000002 exceeds the time budget"),
+        (["constants", "--ell", "1", str(2**20 + 1)],
+         "ell = 1048577 exceeds the constant-series time budget (2^20)"),
     ], ids=["constants-ell-0", "x-negative", "theorem-3-margin-1.5", "missing-config",
             "run-unwritable-output", "sweep-unwritable-output", "oracle-unwritable-output",
             "constants-unwritable-output", "constants-h-underflow", "sweep-below-17",
             "q-past-dlog-bound", "q-mersenne-61", "y-past-budget", "sweep-margin-nan",
-            "y-not-integral", "y-not-integral-below-x", "sweep-y-0", "x-past-budget"])
+            "y-not-integral", "y-not-integral-below-x", "sweep-y-0", "x-past-budget",
+            "verify-quick", "run-ell-past-budget", "sweep-ell-past-budget",
+            "constants-ell-past-budget"])
     def test_exit_two_with_one_error_line(self, tmp_path, capsys, argv, expect):
         (tmp_path / "neg_x.json").write_text('{"theorem": 1, "q": 101, "x": -5}')
         (tmp_path / "margin.json").write_text(
@@ -495,6 +510,7 @@ class TestInputErrorsExitTwo:
         (tmp_path / "mersenne_q.json").write_text('{"theorem": 1, "q": 2305843009213693951}')
         (tmp_path / "big_y.json").write_text('{"theorem": 1, "q": 101, "y": 1000000000}')
         (tmp_path / "big_x.json").write_text('{"theorem": 1, "q": 101, "x": 1e308}')
+        (tmp_path / "big_ell.json").write_text('{"theorem": 1, "q": 1000003, "ell": 1074}')
         (tmp_path / "y_fraction.json").write_text('{"theorem": 1, "q": 101, "y": 1000.7}')
         (tmp_path / "y_fraction_below_x.json").write_text(
             '{"theorem": 1, "q": 101, "x": 20.3, "y": 20.5}')
@@ -543,11 +559,13 @@ class TestOneIntegralityRuleForY:
 
 
 class TestVerifyCommand:
-    def test_quick_battery(self, capsys):
-        code, out, _ = run_cli(["verify", "--quick"], capsys)
+    def test_the_one_battery(self, capsys):
+        code, out, _ = run_cli(["verify"], capsys)
+        lines = out.splitlines()
         assert code == 0
-        assert "FAIL" not in out
-        assert "verify:" in out
+        assert all(line.startswith("PASS ") for line in lines[:-1])
+        assert [line.split()[1].rstrip(":") for line in lines[:-1]] == VERIFY_CHECKS
+        assert lines[-1] == "verify: 11 passed, 0 failed"
 
 
 class TestParserContract:
@@ -594,7 +612,7 @@ class TestSharedParser:
             ["sweep", "--theorem", "1", "--primes", "100..200", "--jobs", "1",
              "--output", str(out)],
             ["oracle", "--q", "7", "--output", str(out)],
-            ["verify", "--quick"],
+            ["verify"],
         ]
         results = []
         for argv in steps:

@@ -46,7 +46,7 @@ from dirichlet_resonance.resonator import (
     resonator_sq_all,
     s2_terms,
 )
-from full_group import OVERFLOWING_S2, unfold
+from full_group import OVERFLOWING_S2, VERIFY_CHECKS, unfold
 
 LOG4 = math.log(4.0)
 
@@ -319,17 +319,18 @@ class TestFailuresAreReported:
         assert f"S2={report.s2!r}" in failure and f"S1={report.s1!r}" in failure
 
 
+@pytest.fixture
+def no_evaluation(monkeypatch):
+    def evaluated(*args, **kwargs):
+        raise AssertionError("evaluated a configuration that validation must reject")
+
+    for name in ("CharacterGroup", "s2_terms", "s1", "truncated_l_all", "joint_product"):
+        monkeypatch.setattr(experiments, name, evaluated)
+
+
 class TestEmptyEligibleSetRejectedUpFront:
     """ell >= q - 1 leaves no character of order > ell; validation says so
     before any evaluation."""
-
-    @pytest.fixture
-    def no_evaluation(self, monkeypatch):
-        def evaluated(*args, **kwargs):
-            raise AssertionError("evaluated a configuration that validation must reject")
-
-        for name in ("CharacterGroup", "s2_terms", "s1", "truncated_l_all", "joint_product"):
-            monkeypatch.setattr(experiments, name, evaluated)
 
     @pytest.mark.parametrize("q,ell", [(3, 2), (5, 4), (101, 100), (101, 10**5)])
     def test_ell_at_least_q_minus_one(self, no_evaluation, q, ell):
@@ -339,6 +340,21 @@ class TestEmptyEligibleSetRejectedUpFront:
     def test_largest_admissible_ell_still_validates(self, no_evaluation):
         cfg = ExperimentConfig(1, 101, 99, x=2.0, y=100).validated()
         assert cfg.ell == 99
+
+
+class TestEllTimeBudgetRejectedUpFront:
+    """ell * (q - 1) <= 2^30 bounds the power-family reductions; at
+    q = 1000003 that is ell <= 1073, checked by validation alone."""
+
+    @pytest.mark.parametrize("theorem", [1, 3])
+    def test_ell_just_under_the_budget_validates(self, no_evaluation, theorem):
+        assert 1073 * 1000002 <= 2**30 < 1074 * 1000002
+        assert ExperimentConfig(theorem, 1000003, 1073).validated().ell == 1073
+
+    @pytest.mark.parametrize("theorem,ell", [(1, 1074), (3, 1074), (1, 10**5), (2, 1000001)])
+    def test_ell_past_the_budget_is_refused(self, no_evaluation, theorem, ell):
+        with pytest.raises(ConfigError, match=r"ell \* \(q - 1\) = .* exceeds the time budget"):
+            run_theorem(ExperimentConfig(theorem, 1000003, ell))
 
 
 @st.composite
@@ -708,10 +724,12 @@ class TestRecordKeys:
 
 
 class TestVerificationBattery:
-    def test_quick_battery_passes(self):
-        checks = run_verification(quick=True)
+    def test_the_one_battery_passes(self):
+        checks = run_verification()
         failed = [c for c in checks if not c.passed]
         assert not failed, [f"{c.name}: {c.detail}" for c in failed]
-        names = {c.name for c in checks}
-        assert "orthogonality-delta" in names
-        assert "s1-closed-form" in names
+        assert [c.name for c in checks] == VERIFY_CHECKS
+
+    def test_takes_no_argument(self):
+        with pytest.raises(TypeError):
+            run_verification(quick=True)

@@ -31,7 +31,7 @@ from dirichlet_resonance.resonator import (
     s1_congruence_oracle,
     s2_terms,
 )
-from full_group import full_resonator_sq, unfold
+from full_group import bits, full_resonator_sq, unfold
 
 S1_CLOSED_FORM = 4.0 * (81.0 / 80.0) ** 2 * (820.0 / 729.0)
 
@@ -134,7 +134,7 @@ class TestResonatorSq:
         )
 
     def test_empty_kernel(self, g5):
-        assert resonator_sq(g5.character(1), LinearKernel(1.5)) == 1.0
+        assert bits(resonator_sq(g5.character(1), LinearKernel(1.5))) == bits(1.0)
 
     def test_all_matches_scalar(self, g7):
         kernel = SigmaKernel(6.0, 0.8)
@@ -191,7 +191,9 @@ class TestResonatorSqStreaming:
     @pytest.mark.parametrize("q", [101, 10007])
     def test_empty_support_is_all_ones(self, q):
         group = _stream_group(q)
-        got = unfold(resonator_sq_all(group, LinearKernel(1.5)))
+        half = resonator_sq_all(group, LinearKernel(1.5))
+        assert half.dtype == np.float64 and half.shape == (group.order // 2 + 1,)
+        got = unfold(half)
         assert got.tobytes() == np.ones(group.order).tobytes()
         assert got.tobytes() == full_resonator_sq(group, LinearKernel(1.5)).tobytes()
 
@@ -219,7 +221,7 @@ class TestS1:
         )
 
     def test_empty_kernel_gives_phi(self, g5):
-        assert s1(g5, LinearKernel(1.0)) == 4.0
+        assert bits(s1(g5, LinearKernel(1.0))) == bits(4.0)
 
     def test_at_least_phi(self):
         for q in (7, 31, 101):
@@ -429,10 +431,10 @@ class TestBounds:
         assert bound_l_product(LinearKernel(3.0), 2) == pytest.approx(
             1.2 * 18.0 / 17.0, rel=1e-14
         )
-        assert bound_l_product(LinearKernel(1.0), 3) == 1.0
+        assert bits(bound_l_product(LinearKernel(1.0), 3)) == bits(1.0)
 
     def test_prime_sum_examples(self):
-        assert bound_prime_sum(SigmaKernel(1.0, 0.75), 2) == 0.0
+        assert bits(bound_prime_sum(SigmaKernel(1.0, 0.75), 2)) == bits(0.0)
         kernel = SigmaKernel(16.0, 0.75)
         expect = math.fsum(
             (1.0 - (p / 16.0) ** 0.75) / p**0.75 for p in (2, 3, 5, 7, 11, 13)
@@ -454,6 +456,13 @@ class TestBounds:
         sig = SigmaKernel(3.0, 0.75)
         expect = (math.log(2) / 2**0.75) * (1.0 - (2.0 / 3.0) ** 0.75)
         assert p_j(sig, 1) == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("kernel", [LinearKernel(1.5), SigmaKernel(1.99, 0.75)])
+    def test_empty_support_p_j_and_logderiv_bound_are_zero(self, kernel):
+        # no prime below X = 2: every P_j is the empty sum +0.0, and so is their product
+        for j in (1, 2, 3):
+            assert bits(p_j(kernel, j)) == bits(0.0)
+            assert bits(bound_logderiv_product(kernel, j)) == bits(0.0)
 
     def test_p_j_non_increasing_in_j(self):
         kernel = LinearKernel(50.0)
