@@ -225,16 +225,19 @@ def require_cutoff(y: int) -> None:
         raise PrecisionError(f"cutoff {y} exceeds the double-precision budget (1e8)")
 
 
-def require_ell_budget(ell: int, order: int | None = None) -> None:
-    """Raise ValueError unless 1 <= ell within its time budget: ell * order <= 2^30
-    for the power family over ``order`` = q - 1 characters (``power_reduce`` and
-    ``eligible``, about 11 ns a unit: 12 s), or, with no ``order``, ell <= 2^20
-    for the O(ell) constant series S and Q (about 0.1 s each)."""
+def require_ell_budget(ell: int, order: int | None = None, total: int = 0) -> None:
+    """Raise ValueError unless 1 <= ell within its command's time budget: the power
+    family (``power_reduce`` and ``eligible``, about 11 ns a unit) costs ell * order
+    <= 2^30 (12 s), order being q - 1 for a run and its sum over a sweep's primes;
+    with no ``order``, each constant series S and Q costs ell <= 2^20 (about 0.1 s),
+    and ``total``, ell summed over every row one ``constants`` call prints, <= 2^22."""
     require_positive("ell", ell)
     if order is not None and ell * order > 2**30:
         raise ValueError(f"ell * (q - 1) = {ell} * {order} exceeds the time budget (2^30)")
     if order is None and ell > 2**20:
         raise ValueError(f"ell = {ell} exceeds the constant-series time budget (2^20)")
+    if total > 2**22:
+        raise ValueError(f"ell summed over the rows = {total} exceeds the time budget (2^22)")
 
 
 def require_odd_prime(q: int) -> None:

@@ -66,8 +66,7 @@ class CharacterGroup:
         half = order // 2
         k = np.arange(half + 1)
         roots[: half + 1] = np.exp(2j * np.pi * k / order)
-        if order % 2 == 0:
-            roots[half] = -1.0
+        roots[half] = -1.0  # q is an odd prime, so the order is even
         # mirror the upper half so conjugate indices are exact conjugates
         roots[half + 1 :] = np.conj(roots[1 : order - half][::-1])
         roots.setflags(write=False)

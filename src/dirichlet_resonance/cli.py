@@ -123,7 +123,7 @@ def _cmd_constants(args, parser) -> int:
     rows = []
     try:  # an input rule, or a constant that over- or underflows
         for ell in args.ell:
-            require_ell_budget(ell)
+            require_ell_budget(ell, total=sum(args.ell) * len(sigmas))
         for sigma in args.sigma:
             con.require_strip_sigma(sigma)
         for ell in args.ell:
@@ -151,12 +151,7 @@ def _outdir(path: str | None) -> str:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = exp.config_from_json(args.config)
-        report = exp.run_theorem(config)
-    except exp.ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    report = exp.run_theorem(exp.config_from_json(args.config))
     out = _outdir(args.output)
     json_path = os.path.join(out, "report.json")
     csv_path = os.path.join(out, "report.csv")
@@ -190,14 +185,8 @@ def _parse_prime_range(text: str, parser) -> tuple[int, int]:
 
 def _cmd_sweep(args, parser) -> int:
     lo, hi = _parse_prime_range(args.primes, parser)
-    try:
-        result = exp.sweep(
-            args.theorem, (lo, hi), ell=args.ell, sigma=args.sigma,
-            endpoint_margin=args.margin, y=args.y, jobs=args.jobs,
-        )
-    except (exp.ConfigError, ValueError) as err:
-        print(f"sweep error: {err}", file=sys.stderr)
-        return 2
+    result = exp.sweep(args.theorem, (lo, hi), ell=args.ell, sigma=args.sigma,
+                       endpoint_margin=args.margin, y=args.y, jobs=args.jobs)
     out = _outdir(args.output)
     csv_path = os.path.join(out, "sweep.csv")
     json_path = os.path.join(out, "sweep.json")
@@ -213,11 +202,7 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        comp = exp.oracle_comparison(args.q, args.sigma, tuple(args.y_grid))
-    except ValueError as err:
-        print(f"oracle error: {err}", file=sys.stderr)
-        return 2
+    comp = exp.oracle_comparison(args.q, args.sigma, tuple(args.y_grid))
     print(f"q={comp.q} sigma={comp.sigma:g}: {len(comp.indices)} characters, "
           f"{len(comp.excluded_near_zero)} excluded near zero")
     header = "index " + " ".join(f"Y={y}" for y in comp.y_grid)
@@ -258,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         return commands[args.command]()
     except OSError as err:  # names the path: a missing config or an unwritable output
         print(f"file error: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:  # an input rule, or a config that UTF-8 or json cannot decode
+        print(f"{args.command} error: {err}", file=sys.stderr)
         return 2
 
 

@@ -17,9 +17,9 @@ certificate: the maximum of the target functional over eligible characters
 must dominate (Re S2 - excluded-character terms)/S1, because a weighted
 average cannot exceed the maximum.  The functional is |prod_j L(sigma, chi^j; Y)|
 for theorems 1 and 2 and Re prod_j D_j(sigma, chi) for theorems 3 and 4.  A
-violated inequality, S1 < phi(q), a non-negligible Im S2 or a non-finite
-value is never silent: it lands in the report's ``failures`` with all
-operands, and the report as a whole is marked failed.
+violated inequality, S1 < phi(q) or a non-finite value is never silent: it
+lands in the report's ``failures`` with all operands, and the report as a
+whole is marked failed.
 
 |R(chi)|^2, the joint product and the S2 summands come for k <= (q-1)/2
 only: chi_{q-1-k} = conj(chi_k) and the resonator is real, so S1 and Re S2
@@ -321,6 +321,10 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
     config = config.validated()
     t0 = time.perf_counter()
     group = CharacterGroup(config.q)
+    mask = eligible(group, config.ell, config.excluded)
+    members = np.flatnonzero(mask)
+    if not len(members):
+        raise ConfigError(f"eligible set is empty for q={config.q}, ell={config.ell}")
     kernel = _kernel_for(config)
     sigma_eff = kernel.sigma
 
@@ -330,11 +334,6 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
     ratio = s2_val.real / s1_val
     bound = _bound_for(config, kernel)
     margin = ratio - bound
-
-    mask = eligible(group, config.ell, config.excluded)
-    members = np.flatnonzero(mask)
-    if not len(members):
-        raise ConfigError(f"eligible set is empty for q={config.q}, ell={config.ell}")
 
     on_line = config.theorem in (1, 2)  # the functional is |prod L|, else Re prod D
     prod = joint_product(group, "l-product" if on_line else "logderiv-product", config.ell,
@@ -371,11 +370,6 @@ def run_theorem(config: ExperimentConfig) -> TheoremReport:
                  if not cmath.isfinite(value)]
     if nonfinite:
         failures.append(f"non-finite values: {', '.join(nonfinite)}")
-    if abs(s2_val.imag) > 1e-9 * (abs(s2_val.real) + s1_val):
-        failures.append(
-            f"Im S2 = {s2_val.imag!r} is not negligible (S2={s2_val!r}, S1={s1_val!r}); "
-            "character indexing is likely broken"
-        )
     if s1_val < group.order * (1.0 - 1e-12):
         failures.append(f"S1 = {s1_val!r} fell below phi(q) = {group.order}")
     if margin < -_SLACK * max(1.0, abs(bound)):
@@ -475,7 +469,8 @@ def sweep(theorem: int, prime_range: tuple[int, int], ell: int = 1,
     When ``y`` is not given, each run takes Y = ceil(X), the smallest legal
     cutoff; the theorem-1 trend column then tracks the e^gamma log X scale
     that the ratio approaches from below.  ``jobs`` caps the worker
-    processes; no more are started than there are primes.
+    processes; no more are started than there are primes.  ell * (q - 1),
+    summed over the primes, is held to the budget of one run.
     """
     require_positive("jobs", jobs)
     lo, hi = prime_range
@@ -485,6 +480,7 @@ def sweep(theorem: int, prime_range: tuple[int, int], ell: int = 1,
     if qs[0] < _MIN_DEFAULT_X_Q:
         raise ValueError(f"primes {lo}..{hi} include q={qs[0]}; the first prime with a "
                          f"default X is {_MIN_DEFAULT_X_Q}")
+    require_ell_budget(ell, sum(qs) - len(qs))
     configs = []
     for q in qs:
         x = default_x(theorem, q, endpoint_margin, sigma)

@@ -329,7 +329,7 @@ class TestRunCommand:
         path.write_text(payload)
         code, _, err = run_cli(["run", str(path), "--output", str(tmp_path)], capsys)
         assert code == 2
-        assert "config error" in err
+        assert "run error" in err
 
     def test_non_finite_report_fails(self, tmp_path, capsys):
         # X = 2000 overflows |R(chi)|^2, so S1 = inf and the ratio is NaN
@@ -365,16 +365,15 @@ class TestRunCommand:
         assert (done.returncode, done.stderr) == (1, "")
         assert done.stdout.startswith("FAIL theorem 2 q=101")
 
-    def test_im_s2_failure_is_reported(self, tmp_path, capsys, monkeypatch):
-        s2_sum = experiments._s2_sum
-        monkeypatch.setattr(experiments, "_s2_sum", lambda terms: s2_sum(terms) + 1j)
+    def test_s1_failure_is_reported(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "s1", lambda group, kernel: 1.0)
         cfg = self._write_config(
             tmp_path, {"theorem": 1, "q": 101, "ell": 1, "x": 20.0, "y": 1000}
         )
         code, out, _ = run_cli(["run", cfg, "--output", str(tmp_path)], capsys)
         assert code == 1
         assert out.startswith("FAIL theorem 1 q=101")
-        assert "failure: Im S2 = 1.0 is not negligible" in out
+        assert "failure: S1 = 1.0 fell below phi(q) = 100" in out
         assert json.loads((tmp_path / "report.json").read_text())["passed"] is False
 
 
@@ -389,9 +388,8 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 21  # pi(200) - pi(100)
 
-    def test_im_s2_failure_keeps_every_row(self, tmp_path, capsys, monkeypatch):
-        s2_sum = experiments._s2_sum
-        monkeypatch.setattr(experiments, "_s2_sum", lambda terms: s2_sum(terms) + 1j)
+    def test_s1_failure_keeps_every_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "s1", lambda group, kernel: 1.0)
         code, out, _ = run_cli(
             ["sweep", "--theorem", "1", "--primes", "100..200", "--output", str(tmp_path)],
             capsys,
@@ -400,7 +398,7 @@ class TestSweepCommand:
         assert "21 primes, 21 failures" in out
         with open(tmp_path / "sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 21 and all(float(r["S2_im"]) == 1.0 for r in rows)
+        assert len(rows) == 21 and all(float(r["S1"]) == 1.0 for r in rows)
 
     def test_strip_target_needs_sigma(self, capsys):
         code, _, err = run_cli(["sweep", "--theorem", "2", "--primes", "100..120"], capsys)
@@ -495,13 +493,17 @@ class TestInputErrorsExitTwo:
          "ell * (q - 1) = 1074 * 1000002 exceeds the time budget"),
         (["constants", "--ell", "1", str(2**20 + 1)],
          "ell = 1048577 exceeds the constant-series time budget (2^20)"),
+        (["run", "{dir}/not_utf8.json"],
+         "run error: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (["run", "{dir}/long_int.json"],
+         "run error: Exceeds the limit (4300 digits) for integer string conversion"),
     ], ids=["constants-ell-0", "x-negative", "theorem-3-margin-1.5", "missing-config",
             "run-unwritable-output", "sweep-unwritable-output", "oracle-unwritable-output",
             "constants-unwritable-output", "constants-h-underflow", "sweep-below-17",
             "q-past-dlog-bound", "q-mersenne-61", "y-past-budget", "sweep-margin-nan",
             "y-not-integral", "y-not-integral-below-x", "sweep-y-0", "x-past-budget",
             "verify-quick", "run-ell-past-budget", "sweep-ell-past-budget",
-            "constants-ell-past-budget"])
+            "constants-ell-past-budget", "config-not-utf8", "config-5000-digit-int"])
     def test_exit_two_with_one_error_line(self, tmp_path, capsys, argv, expect):
         (tmp_path / "neg_x.json").write_text('{"theorem": 1, "q": 101, "x": -5}')
         (tmp_path / "margin.json").write_text(
@@ -514,6 +516,8 @@ class TestInputErrorsExitTwo:
         (tmp_path / "y_fraction.json").write_text('{"theorem": 1, "q": 101, "y": 1000.7}')
         (tmp_path / "y_fraction_below_x.json").write_text(
             '{"theorem": 1, "q": 101, "x": 20.3, "y": 20.5}')
+        (tmp_path / "not_utf8.json").write_bytes(b'\xff\xfe{"theorem": 1}')
+        (tmp_path / "long_int.json").write_text('{"theorem": 1, "q": 1' + "0" * 4999 + "}")
         (tmp_path / "ok.json").write_text(self.CONFIG)
         argv = [a.format(dir=tmp_path) for a in argv]
         try:
@@ -524,6 +528,54 @@ class TestInputErrorsExitTwo:
         lines = [line for line in err.splitlines() if not line.startswith("usage:")]
         assert code == 2
         assert len(lines) == 1 and expect.format(dir=tmp_path) in lines[0], err
+
+
+class TestBudgetPerCommand:
+    """One time budget per command, checked before any evaluation: a sweep
+    holds ell times q - 1 summed over its primes to 2^30, and ``constants``
+    holds ell summed over the rows it prints to 2^22."""
+
+    @pytest.fixture(autouse=True)
+    def no_evaluation(self, monkeypatch):
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(experiments, "run_theorem", evaluated)
+        monkeypatch.setattr(cli, "_CONST_COLUMNS", {
+            c: (needs_sigma, evaluated) for c, (needs_sigma, _) in cli._CONST_COLUMNS.items()})
+
+    # the 6 primes in 1000003..1000099 sum q - 1 to 6000286: 178 * 6000286 <= 2^30 < 179 * ...
+    SWEEP = ["sweep", "--theorem", "3", "--primes", "1000003..1000099", "--ell"]
+
+    def test_sweep_just_under_the_budget_validates(self, capsys):
+        assert 178 * 6000286 <= 2**30 < 179 * 6000286
+        with pytest.raises(AssertionError, match="evaluated"):
+            main([*self.SWEEP, "178"])
+
+    def test_sweep_just_over_the_budget_is_refused(self, capsys):
+        code, _, err = run_cli([*self.SWEEP, "179"], capsys)
+        assert code == 2
+        assert err == "sweep error: ell * (q - 1) = 179 * 6000286 exceeds the time budget (2^30)\n"
+
+    @pytest.mark.parametrize("ells,sigmas", [
+        ([2**20] * 4, []), ([2**20] * 3 + [2**20 - 1, 1], []), ([2**20] * 2, ["0.75", "0.9"]),
+    ], ids=["four-rows", "five-rows", "two-ells-by-two-sigmas"])
+    def test_constants_just_under_the_budget_validates(self, ells, sigmas):
+        argv = ["constants", "--ell", *map(str, ells), "--columns", "C"]
+        with pytest.raises(AssertionError, match="evaluated"):
+            main(argv + (["--sigma", *sigmas] if sigmas else []))
+
+    @pytest.mark.parametrize("ells,sigmas,total", [
+        ([2**20] * 4 + [1], [], 2**22 + 1), ([2**20] * 2 + [1], ["0.75", "0.9"], 2**22 + 2),
+    ], ids=["five-rows", "three-ells-by-two-sigmas"])
+    def test_constants_just_over_the_budget_is_refused(self, capsys, ells, sigmas, total):
+        argv = ["constants", "--ell", *map(str, ells), "--columns", "C"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--sigma", *sigmas] if sigmas else []))
+        assert exc.value.code == 2
+        assert error_lines(capsys.readouterr().err) == [
+            f"dirichlet-resonance: error: ell summed over the rows = {total} "
+            "exceeds the time budget (2^22)"]
 
 
 class TestOneIntegralityRuleForY:

@@ -309,14 +309,6 @@ class TestFailuresAreReported:
         report = run_theorem(ExperimentConfig(1, 101, 1, x=20.0, y=1000))
         assert "S1 = 1.0 fell below phi(q) = 100" in report.failures
 
-    def test_im_s2_not_negligible(self, monkeypatch):
-        s2_sum = experiments._s2_sum
-        monkeypatch.setattr(experiments, "_s2_sum", lambda terms: s2_sum(terms) + 1j)
-        report = run_theorem(ExperimentConfig(1, 101, 1, x=20.0, y=1000))
-        assert not report.passed and report.s2.imag == 1.0
-        [failure] = report.failures
-        assert failure.startswith("Im S2 = 1.0 is not negligible")
-        assert f"S2={report.s2!r}" in failure and f"S1={report.s1!r}" in failure
 
 
 @pytest.fixture
@@ -340,6 +332,17 @@ class TestEmptyEligibleSetRejectedUpFront:
     def test_largest_admissible_ell_still_validates(self, no_evaluation):
         cfg = ExperimentConfig(1, 101, 99, x=2.0, y=100).validated()
         assert cfg.ell == 99
+
+    def test_excluded_emptying_the_set_is_refused_before_the_sums(self, monkeypatch):
+        """An ``excluded`` list that leaves no eligible character ends once
+        the group is built, before S1, S2 or the joint product."""
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated a configuration with no eligible character")
+
+        for name in ("s2_terms", "s1", "joint_product"):
+            monkeypatch.setattr(experiments, name, evaluated)
+        with pytest.raises(ConfigError, match="eligible set is empty for q=7, ell=1"):
+            run_theorem(ExperimentConfig(1, 7, 1, x=2.0, y=100, excluded=(1, 2, 3, 4, 5)))
 
 
 class TestEllTimeBudgetRejectedUpFront:
